@@ -16,9 +16,10 @@
 //                   run). Falls back to the 1t number when threads_n == 1.
 // Each end-to-end run also reports an ingest-phase breakdown
 // (ingest_breakdown_us) assembled from telemetry histogram deltas:
-// sample+fused sort/compress in the workers (opim.rrset.shard_us),
-// ingestion assembly (opim.rrset.ingest_us) and the index merge/rebuild
-// inside it. Zeros in OPIM_TELEMETRY=OFF builds.
+// sample+fused sort/compress plus the shard postings in the workers
+// (opim.rrset.shard_us), ingestion (opim.rrset.ingest_us) and the index
+// append inside it (opim.rrset.index_append_us). Zeros in
+// OPIM_TELEMETRY=OFF builds.
 //
 //   ./build/bench/bench_generate [--smoke] [--n=N] [--theta=T] [--reps=R]
 //       [--threads=T] [--label=NAME] [--out=FILE]
@@ -122,7 +123,7 @@ double HistSum(const MetricsSnapshot& s, const char* name) {
 
 /// Per-rep average of each generation stage between two registry
 /// snapshots: sampling + fused sort/compress inside the workers, total
-/// ingestion (assembly + index), and the index merge/rebuild alone.
+/// ingestion (assembly + index), and the index append alone.
 struct StageBreakdown {
   double sample_sort_compress_us = 0.0;
   double ingest_us = 0.0;
@@ -138,10 +139,8 @@ StageBreakdown BreakdownBetween(const MetricsSnapshot& before,
        HistSum(before, "opim.rrset.shard_us")) / r;
   b.ingest_us = (HistSum(after, "opim.rrset.ingest_us") -
                  HistSum(before, "opim.rrset.ingest_us")) / r;
-  b.index_us = (HistSum(after, "opim.rrset.index_merge_us") -
-                HistSum(before, "opim.rrset.index_merge_us") +
-                HistSum(after, "opim.rrset.index_rebuild_us") -
-                HistSum(before, "opim.rrset.index_rebuild_us")) / r;
+  b.index_us = (HistSum(after, "opim.rrset.index_append_us") -
+                HistSum(before, "opim.rrset.index_append_us")) / r;
   return b;
 }
 
@@ -380,8 +379,9 @@ int Run(const Config& cfg) {
   // Per-rep stage timings of each end-to-end configuration, from
   // telemetry histogram deltas (all zeros when OPIM_TELEMETRY=OFF):
   // sample_sort_compress_us is the in-worker shard loop (sampling with
-  // the fused sort + group-varint encode), ingest_us the ingestion
-  // (assembly + index), index_us the index merge/rebuild inside it.
+  // the fused sort + group-varint encode, then the shard postings),
+  // ingest_us the ingestion (assembly + index), index_us the index
+  // append inside it.
   w.Key("ingest_breakdown_us").BeginObject();
   for (const auto& [key, b] : breakdowns) {
     w.Key(key).BeginObject();

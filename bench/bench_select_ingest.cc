@@ -370,7 +370,7 @@ int Run(const Config& cfg) {
                pool.size(), static_cast<unsigned long long>(pool_checksum));
 
   // --- Ingestion: replay the stream into a fresh collection via the
-  // engine's batch path (sort + compress + hybrid index build). The batch
+  // engine's batch path (sort + compress + index append). The batch
   // is copied outside the timed region (AddBatch consumes its shards), so
   // the timing covers exactly what ParallelGenerate pays per batch.
   // Collections are configured exactly as the engines configure theirs
@@ -567,7 +567,6 @@ int Run(const Config& cfg) {
   uint64_t postings_delta = 0;
   uint64_t warm_fallbacks_delta = 0;
   double warm_sync_us_delta = 0.0;
-  double member_counts_us_delta = 0.0;
   {
     std::vector<NodeId> scratch_seeds, incremental_seeds;
     double scratch_best = 0.0, incremental_best = 0.0;
@@ -595,9 +594,6 @@ int Run(const Config& cfg) {
         warm_sync_us_delta =
             TimerSumUs(after, "opim.select.warm_sync_us") -
             TimerSumUs(before, "opim.select.warm_sync_us");
-        member_counts_us_delta =
-            TimerSumUs(after, "opim.rrset.member_counts_us") -
-            TimerSumUs(before, "opim.rrset.member_counts_us");
       }
       if (r == 0 || scratch < scratch_best) scratch_best = scratch;
       if (r == 0 || incremental < incremental_best) {
@@ -653,7 +649,6 @@ int Run(const Config& cfg) {
   w.Key("opim.select.warm_start_fallbacks").Value(warm_fallbacks_delta);
   w.Key("opim.select.postings_delta_ingested").Value(postings_delta);
   w.Key("opim.select.warm_sync_us").Value(warm_sync_us_delta);
-  w.Key("opim.rrset.member_counts_us").Value(member_counts_us_delta);
   w.EndObject();
   w.EndObject();
   // Storage + kernel ablation: peak_rr_bytes is MemoryUsage() — what the

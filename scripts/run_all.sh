@@ -52,12 +52,13 @@ cmake -B build-asan -G Ninja -DOPIM_SANITIZE=ON -DOPIM_FAULT_INJECT=ON \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume' 2>&1 \
+  -R 'SamplingView|Quantize|KernelDifferential|SharedView|Sampler|RRCollection|RRIndex|ParallelGenerate|Greedy|Celf|FaultInjection|Guardrails|RunControl|SignalGuard|ThreadPool|LoaderRobustness|VarintCodec|CoverBitset|CoverKernel|SimdDifferential|GraphMmap|MmapArena|RRSpill|SpillDifferential|GraphPack|ResourceUsage|Snapshot|IoUtil|CheckpointResume' 2>&1 \
   | tee "$OUT/test_output_sanitized.txt"
 
 # TSan build over the concurrency-heavy subset: the thread pool, parallel
-# RR generation, the pipelined doubling loop's speculative staging
-# (OpimCPipeline), the lock-free trace recorder, and the progress
+# RR generation (shard postings are built on the workers), the pipelined
+# doubling loop's speculative staging (OpimCPipeline), the index tests
+# (RRIndex), the lock-free trace recorder, and the progress
 # heartbeat all publish across threads with hand-placed acquire/release
 # pairs, so a missing fence must fail loudly here. TSan and ASan cannot share a build
 # (mutually exclusive runtimes), hence the separate tree.
@@ -65,7 +66,7 @@ cmake -B build-tsan -G Ninja -DOPIM_SANITIZE=thread \
   -DOPIM_BUILD_BENCHMARKS=OFF -DOPIM_BUILD_EXAMPLES=OFF
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState' 2>&1 \
+  -R 'ThreadPool|ParallelGenerate|AdvanceParallel|OpimCPipeline|RRIndex|Trace|Progress|RunControl|Guardrails|Metrics|SpillDifferential|SelectionState' 2>&1 \
   | tee "$OUT/test_output_tsan.txt"
 
 # OPIM_SIMD=OFF build: the portable scalar coverage kernels alone must

@@ -82,7 +82,7 @@ void OnlineMaximizer::AdvanceParallel(uint64_t count,
   // Both batches are staged onto ONE pool instead of two back-to-back
   // ParallelGenerate calls: their shards interleave on the same workers
   // (a straggler shard of one batch no longer idles threads the other
-  // could use) and both ingestions reuse the pool for the index merge.
+  // could use).
   // The RR streams are unchanged from the sequential schedule — per-batch
   // seeds and shard counts are identical; only scheduling overlaps.
   std::unique_ptr<ThreadPool> pool;

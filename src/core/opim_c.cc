@@ -103,8 +103,8 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                   << " delta=" << delta << " theta0=" << theta0
                   << " i_max=" << i_max << " threads=" << num_threads;
 
-  // One pool for the whole run: every generate call and every ingestion
-  // batch's index rebuild reuses the same workers instead of spawning and
+  // One pool for the whole run: every generate call and the CELF
+  // initial-gain pass reuse the same workers instead of spawning and
   // joining a fresh pool per doubling. Serial runs skip the pool entirely.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
@@ -153,7 +153,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
 
   // Resume: adopt the snapshot's pools and loop position. The RR stream
   // is a pure function of (seed, num_threads, batch_counter), and CELF
-  // / the bounds / the index rebuild are deterministic, so continuing
+  // / the bounds / the index fold are deterministic, so continuing
   // from an iteration-boundary snapshot is bit-identical to never
   // having stopped. A parameter mismatch would silently change the
   // algorithm the certificate describes — refuse loudly instead (the
@@ -235,10 +235,10 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
     generate(&r2, theta0, control);
   } else {
     // Resumed pools carry no index (the snapshot stores only the
-    // canonical chunk runs); rebuild it eagerly on the run pool so the
-    // first CELF pass starts from the same state a live run would have.
-    r1.EnsureIndex(pool.get());
-    r2.EnsureIndex(pool.get());
+    // canonical chunk runs); fold every set in eagerly so the first CELF
+    // pass starts from the same state a live run would have.
+    r1.EnsureIndex();
+    r2.EnsureIndex();
   }
 
   // Anytime floor: if a guardrail tripped before (or during) the θ0 fill
@@ -382,7 +382,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         // A TaskGroup (not the pool's global barrier) tracks the
         // speculative tasks: their completion — and any exception they
         // raise — stays out of foreground Wait()/ParallelFor calls that
-        // CoverBitset kernels or the index merge may issue meanwhile.
+        // the CELF initial-gain pass may issue meanwhile.
         spec_group = std::make_unique<TaskGroup>(pool.get());
         for (unsigned s = 0; s < spec1->shards(); ++s) {
           spec_group->Submit([&stage = *spec1, s] { stage.RunShard(s); });

@@ -15,16 +15,6 @@ uint64_t CountUncoveredIdsScalar(std::span<const RRId> ids,
   return uncovered;
 }
 
-uint64_t CountUncoveredBlocksScalar(std::span<const uint32_t> block_words,
-                                    std::span<const uint64_t> block_masks,
-                                    const uint64_t* words) {
-  uint64_t uncovered = 0;
-  for (size_t i = 0; i < block_words.size(); ++i) {
-    uncovered += std::popcount(block_masks[i] & ~words[block_words[i]]);
-  }
-  return uncovered;
-}
-
 // kAuto by default; SetCoverageSimdMode is a test/tooling hook, so a
 // relaxed atomic is all the synchronization this needs.
 std::atomic<SimdMode> g_simd_mode{SimdMode::kAuto};
@@ -44,9 +34,6 @@ bool Avx2Supported() {
 // Defined in cover_kernels_avx2.cc (compiled with -mavx2 -mpopcnt).
 uint64_t CountUncoveredIdsAvx2(std::span<const RRId> ids,
                                const uint64_t* words);
-uint64_t CountUncoveredBlocksAvx2(std::span<const uint32_t> block_words,
-                                  std::span<const uint64_t> block_masks,
-                                  const uint64_t* words);
 #endif
 
 void SetCoverageSimdMode(SimdMode mode) {
@@ -73,17 +60,6 @@ uint64_t CountUncoveredIds(std::span<const RRId> ids, const uint64_t* words) {
   }
 #endif
   return CountUncoveredIdsScalar(ids, words);
-}
-
-uint64_t CountUncoveredBlocks(std::span<const uint32_t> block_words,
-                              std::span<const uint64_t> block_masks,
-                              const uint64_t* words) {
-#if OPIM_SIMD_AVX2
-  if (EffectiveCoverageSimd() == SimdMode::kAvx2) {
-    return CountUncoveredBlocksAvx2(block_words, block_masks, words);
-  }
-#endif
-  return CountUncoveredBlocksScalar(block_words, block_masks, words);
 }
 
 }  // namespace opim

@@ -1,16 +1,14 @@
 // Covered-RR-set state as a flat 64-bit-word bitset, plus the counting
 // kernels CELF's marginal recount hot path runs over it.
 //
-// Postings for a node come in two representations (see rr_collection.h):
-// raw ascending RR ids, or (word index, 64-bit mask) blocks for dense
-// nodes. The kernels below answer "how many of this node's RR sets are
-// still uncovered" — an intersection with the complement of the bitset
-// followed by a popcount — in whole 64-bit words. Both have a portable
-// scalar implementation and an AVX2 one (cover_kernels_avx2.cc, compiled
-// only under the OPIM_SIMD CMake gate on x86-64); dispatch is resolved at
-// runtime from cpuid and can be forced per process with
-// SetCoverageSimdMode, which is how the differential tests pin the two
-// paths bit-identical.
+// A node's postings are runs of ascending RR ids (see rr_collection.h).
+// The kernels below answer "how many of these RR sets are still
+// uncovered" and "mark these covered, reporting the fresh ones" against
+// the bitset. The counting kernel has a portable scalar implementation
+// and an AVX2 one (cover_kernels_avx2.cc, compiled only under the
+// OPIM_SIMD CMake gate on x86-64); dispatch is resolved at runtime from
+// cpuid and can be forced per process with SetCoverageSimdMode, which is
+// how the differential tests pin the two paths bit-identical.
 
 #pragma once
 
@@ -49,6 +47,13 @@ class CoverBitset {
 
   /// Clears every bit without releasing the word arena.
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
+
+  /// Number of set bits.
+  uint64_t Count() const {
+    uint64_t count = 0;
+    for (uint64_t w : words_) count += std::popcount(w);
+    return count;
+  }
 
   bool Test(uint64_t i) const {
     OPIM_DCHECK_LT(i, num_bits_);
@@ -94,11 +99,6 @@ const char* ActiveCoverageKernelName();
 /// Number of `ids` whose bit is clear in `words` (raw postings).
 uint64_t CountUncoveredIds(std::span<const RRId> ids, const uint64_t* words);
 
-/// Popcount of masks & ~words[block_words[i]] over all blocks.
-uint64_t CountUncoveredBlocks(std::span<const uint32_t> block_words,
-                              std::span<const uint64_t> block_masks,
-                              const uint64_t* words);
-
 /// Marks every id covered and calls `fn(RRId)` for each id that was not
 /// already covered, in ascending order.
 template <typename Fn>
@@ -110,24 +110,6 @@ inline void ForEachNewlyCoveredIds(std::span<const RRId> ids, uint64_t* words,
     if ((w & bit) == 0) {
       w |= bit;
       fn(id);
-    }
-  }
-}
-
-/// Block-rep variant of ForEachNewlyCoveredIds.
-template <typename Fn>
-inline void ForEachNewlyCoveredBlocks(std::span<const uint32_t> block_words,
-                                      std::span<const uint64_t> block_masks,
-                                      uint64_t* words, Fn&& fn) {
-  for (size_t i = 0; i < block_words.size(); ++i) {
-    const uint32_t wi = block_words[i];
-    uint64_t fresh = block_masks[i] & ~words[wi];
-    if (fresh == 0) continue;
-    words[wi] |= fresh;
-    const uint64_t base = uint64_t{wi} << 6;
-    while (fresh != 0) {
-      fn(static_cast<RRId>(base + std::countr_zero(fresh)));
-      fresh &= fresh - 1;
     }
   }
 }

@@ -1,15 +1,14 @@
-// AVX2 coverage-counting kernels. This translation unit is the only one
+// AVX2 coverage-counting kernel. This translation unit is the only one
 // compiled with -mavx2 -mpopcnt (see src/rrset/CMakeLists.txt); it is
 // added to the build only when OPIM_SIMD is ON and the target is x86-64,
 // and callers reach it strictly through the runtime dispatch in
 // cover_bitset.cc, so the rest of the binary stays baseline-ISA clean.
 //
-// Both kernels must be bit-identical to their scalar counterparts —
+// The kernel must be bit-identical to its scalar counterpart —
 // tests/rrset/cover_bitset_test.cc pins that on randomized inputs.
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -43,35 +42,6 @@ uint64_t CountUncoveredIdsAvx2(std::span<const RRId> ids,
   uint64_t uncovered = (i - covered);
   for (; i < n; ++i) {
     uncovered += ((words[p[i] >> 6] >> (p[i] & 63)) & 1u) ^ 1u;
-  }
-  return uncovered;
-}
-
-uint64_t CountUncoveredBlocksAvx2(std::span<const uint32_t> block_words,
-                                  std::span<const uint64_t> block_masks,
-                                  const uint64_t* words) {
-  const size_t n = block_words.size();
-  const uint32_t* wi = block_words.data();
-  const uint64_t* mk = block_masks.data();
-  size_t i = 0;
-  uint64_t uncovered = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wi + i));
-    const __m256i w = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(words), idx, 8);
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mk + i));
-    // fresh = mask & ~word; AVX2 has no 64-bit popcount, so the four
-    // lanes take the (fast) scalar POPCNT each.
-    const __m256i fresh = _mm256_andnot_si256(w, m);
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), fresh);
-    uncovered += std::popcount(lanes[0]) + std::popcount(lanes[1]) +
-                 std::popcount(lanes[2]) + std::popcount(lanes[3]);
-  }
-  for (; i < n; ++i) {
-    uncovered += std::popcount(mk[i] & ~words[wi[i]]);
   }
   return uncovered;
 }

@@ -81,6 +81,11 @@ void StagedGeneration::RunShard(unsigned s) {
     shard.edges += cost;
   }
   shard.alias = sampler->alias_draws();
+  // Shard postings are built here, on the worker, so ingestion only has
+  // to append them. An aborted (discarded) batch skips the work.
+  if (!abort_.load(std::memory_order_relaxed)) {
+    shard.out = shard.encoder.Finish(view_.graph().num_nodes());
+  }
   OPIM_TM_HISTOGRAM_RECORD("opim.rrset.shard_us",
                            shard_watch.ElapsedSeconds() * 1e6);
 }
@@ -112,15 +117,19 @@ uint64_t StagedGeneration::TotalAliasDraws() const {
 std::vector<CompressedRRShard> StagedGeneration::TakeShards() {
   std::vector<CompressedRRShard> out;
   out.reserve(shards_.size());
+  const uint32_t num_nodes = view_.graph().num_nodes();
   for (Shard& s : shards_) {
-    out.push_back(s.encoder.Finish(view_.graph().num_nodes()));
+    // A shard whose worker threw (or was aborted) before Finish still
+    // holds consistent records and is finalized here instead.
+    out.push_back(s.out.finalized ? std::move(s.out)
+                                  : s.encoder.Finish(num_nodes));
   }
   return out;
 }
 
 void IngestStaged(StagedGeneration* stage, RRCollection* collection,
-                  ThreadPool* pool) {
-  collection->AddCompressedShards(stage->TakeShards(), pool);
+                  ThreadPool* /*pool*/) {
+  collection->AddCompressedShards(stage->TakeShards());
   OPIM_TM_COUNTER_ADD("opim.rrset.sets_generated", stage->TotalSets());
   OPIM_TM_COUNTER_ADD("opim.rrset.nodes_total", stage->TotalNodes());
   OPIM_TM_COUNTER_ADD("opim.rrset.edges_examined", stage->TotalEdges());
@@ -140,9 +149,8 @@ void ParallelGenerate(const Graph& g, DiffusionModel model,
   const unsigned shards = GenerateShardCount(count, num_threads);
 
   // A temporary pool is only created when the caller did not supply one
-  // (and more than one shard exists); it parallelizes the view build below,
-  // the shards, and the index merge inside AddCompressedShards, then
-  // reports its stats before destruction.
+  // (and more than one shard exists); it parallelizes the view build below
+  // and the shards, then reports its stats before destruction.
   std::unique_ptr<ThreadPool> local_pool;
   if (shards > 1 && pool == nullptr) {
     local_pool = std::make_unique<ThreadPool>(shards);

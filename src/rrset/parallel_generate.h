@@ -3,25 +3,25 @@
 // RR sets are independent samples, so generation parallelizes trivially:
 // each worker owns a private sampler and an RNG stream derived from
 // (seed, shard), and streams its sets straight into a shard-local
-// CompressedShard — members sorted and group-varint-compressed while they
-// are cache-hot, partial inverted-index postings built in the worker — so
-// ingestion after the barrier is a cheap deterministic shard-order merge
-// (RRCollection::AddCompressedShards + parallel MergeIndex) instead of a
-// serial sort/compress/rebuild pass. The result is deterministic for a
-// fixed (seed, num_threads) pair, and single-threaded generation with the
-// same derivation reproduces num_threads = 1 exactly.
+// CompressedRRShard — members sorted and group-varint-compressed while
+// they are cache-hot, the shard's (node, local id) postings sorted in the
+// worker once its sets are done — so ingestion after the barrier is a
+// deterministic shard-order append (RRCollection::AddCompressedShards)
+// whose cost is proportional to the new members, not to n or the pool.
+// The result is deterministic for a fixed (seed, num_threads) pair, and
+// single-threaded generation with the same derivation reproduces
+// num_threads = 1 exactly.
 //
 // StagedGeneration exposes the two halves separately: RunShard() calls
 // can overlap other work on the same pool (the pipelined doubling loop
 // runs them speculatively during CELF + bounds, see docs/performance.md)
-// and IngestStaged() merges the staged shards — or drops them, if the
+// and IngestStaged() appends the staged shards — or drops them, if the
 // speculation was not needed — at a point the caller chooses.
 //
 // Callers that generate repeatedly (OPIM-C's doublings) should construct
 // one ThreadPool and pass it to every call: the workers and their stacks
-// are reused across generations and the same pool parallelizes the
-// inverted-index rebuild of each ingestion batch. Without a pool, a
-// temporary pool is created per call (the original behavior).
+// are reused across generations. Without a pool, a temporary pool is
+// created per call (the original behavior).
 //
 // The samplers' per-sample scratch (epoch arrays, alias tables) is why the
 // RRSampler class itself is not thread-safe; this helper is the supported
@@ -125,7 +125,8 @@ class StagedGeneration {
                    const AliasSampler* root_table, RunControl* control,
                    uint64_t base_bytes, bool speculative);
 
-  /// Samples shard `s` (thread-safe for distinct `s`; call once per `s`).
+  /// Samples shard `s` and builds its postings (thread-safe for distinct
+  /// `s`; call once per `s`).
   void RunShard(unsigned s);
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
@@ -144,8 +145,9 @@ class StagedGeneration {
   uint64_t TotalEdges() const;
   uint64_t TotalAliasDraws() const;
 
-  /// Finalizes and takes the per-shard wire-format buffers (call after
-  /// every RunShard returned; the stats above remain valid).
+  /// Takes the per-shard wire-format buffers, finalizing any shard whose
+  /// RunShard threw before its postings were built (call after every
+  /// RunShard returned; the stats above remain valid).
   std::vector<CompressedRRShard> TakeShards();
 
  private:
@@ -161,6 +163,7 @@ class StagedGeneration {
   std::atomic<uint64_t> published_bytes_{0};
   struct alignas(64) Shard {
     ShardEncoder encoder;
+    CompressedRRShard out;  // finalized by RunShard
     uint64_t sets = 0;
     uint64_t nodes = 0;
     uint64_t edges = 0;
@@ -170,8 +173,10 @@ class StagedGeneration {
 };
 
 /// Ingests a fully sampled staged batch into `collection` (shard-order
-/// merge; RRCollection::AddCompressedShards) and reports the batch's
+/// append; RRCollection::AddCompressedShards) and reports the batch's
 /// generation counters to telemetry. Every RunShard must have returned.
+/// The append is serial and O(new members); `pool` is unused and kept
+/// for call-site compatibility.
 void IngestStaged(StagedGeneration* stage, RRCollection* collection,
                   ThreadPool* pool);
 

@@ -89,8 +89,8 @@ struct SnapshotRunState {
 static_assert(sizeof(SnapshotRunState) == 88,
               ".opimss run-state record is part of the wire format");
 
-/// A loaded snapshot: the run position plus both restored pools (index
-/// marked stale; EnsureIndex or the first read rebuilds it).
+/// A loaded snapshot: the run position plus both restored pools (every
+/// set pending in the index; EnsureIndex or the first read folds them).
 struct RRPoolSnapshot {
   SnapshotRunState run;
   RRCollection r1{0};

@@ -151,8 +151,8 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
 
   if (!with_trace) {
     // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
-    // is recomputed on demand by intersecting the node's postings with
-    // the uncovered bitset (whole 64-bit words; AVX2 when dispatched).
+    // is recomputed on demand by testing the node's postings against the
+    // covered bitset (AVX2 gathers when dispatched).
     // O(n) heap build (make_heap via the container ctor) instead of n
     // pushes; pop order — and therefore the seed set — only depends on
     // the comparator, not the heap's internal layout.
@@ -167,10 +167,12 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
     std::priority_queue<CelfEntry> queue(std::less<CelfEntry>{},
                                          std::move(entries));
     auto fresh_gain = [&](NodeId v) {
-      const RRCollection::CoverPostings p = collection.Covering(v);
-      words_scanned += p.ids.size() + p.words.size();
-      return CountUncoveredIds(p.ids, covered.words()) +
-             CountUncoveredBlocks(p.words, p.masks, covered.words());
+      uint64_t gain = 0;
+      collection.ForEachCoveringRun(v, [&](std::span<const RRId> run) {
+        words_scanned += run.size();
+        gain += CountUncoveredIds(run, covered.words());
+      });
+      return gain;
     };
     while (result.seeds.size() < k && !queue.empty()) {
       CelfEntry top = queue.top();
@@ -189,7 +191,9 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
       selected[top.node] = 1;
       result.seeds.push_back(top.node);
       coverage += top.gain;
-      MarkCoveredBy(collection, top.node, &covered, [](RRId) {});
+      // Nothing to report per fresh set here, so mark without testing:
+      // a plain OR per posting has no data-dependent branch.
+      collection.ForEachCovering(top.node, [&](RRId id) { covered.Set(id); });
       ++round;
     }
     OPIM_TM_COUNTER_ADD("opim.select.celf_pops", pops);

@@ -29,8 +29,8 @@ void InitialGains(const RRCollection& collection, const CelfOptions& options,
   ThreadPool* pool = options.pool;
   if (pool != nullptr && pool->num_threads() > 1 && n > 0 &&
       collection.total_size() >= kParallelInitMinWork) {
-    // One serial touch first: Covering() lazily rebuilds a stale index,
-    // which must not race across workers.
+    // One serial touch first: the first index read folds sets left
+    // pending by AddSet, which must not race across workers.
     (*gains)[0] = collection.CoveringCount(0);
     const uint32_t ranges = std::min<uint32_t>(n, pool->num_threads() * 4);
     pool->ParallelFor(ranges, [&](uint64_t r) {
@@ -57,13 +57,13 @@ void InitialGains(const RRCollection& collection, const CelfOptions& options,
 //
 // where d_v is v's membership count among the NEW sets only. The synced
 // counts are therefore the EXACT singleton coverages on the grown pool —
-// not an approximation — because RRCollection::MemberCounts maintains
-// Σ-membership per node exactly across ingests (the shard posting
-// offsets it folds are computed from the same encoded sets the index is
-// built from). Seeding CELF's heap with exact Λ_i({v}) is precisely what
-// the cold pass does, so the heap contents, every pop, every tie-break,
-// and hence the seed sequence and all trace arrays are bit-identical to
-// a from-scratch run (the differential tests in tests/select pin this).
+// not an approximation — because RRCollection::MemberCounts is the
+// per-node posting length of the index itself, which every ingest
+// extends by exactly the new sets' memberships. Seeding CELF's heap
+// with exact Λ_i({v}) is precisely what the cold pass does, so the heap
+// contents, every pop, every tie-break, and hence the seed sequence and
+// all trace arrays are bit-identical to a from-scratch run (the
+// differential tests in tests/select pin this).
 // Note the subtlety this design avoids: warm-starting from iteration
 // i-1's FINAL marginals Λ_{i-1}(v | S*) — tempting, since they are
 // smaller — would be unsound as CELF initial entries: a node's marginal

@@ -85,14 +85,13 @@ void FillWithUnselected(uint32_t n, uint32_t k,
                         std::vector<NodeId>* seeds);
 
 /// Marks every RR set containing `v` covered and calls `fn(RRId)` once
-/// for each set that was not already covered (ascending ids — identical
-/// traversal order for both posting representations).
+/// for each set that was not already covered, in ascending id order.
 template <typename Fn>
 void MarkCoveredBy(const RRCollection& collection, NodeId v,
                    CoverBitset* covered, Fn&& fn) {
-  const RRCollection::CoverPostings p = collection.Covering(v);
-  ForEachNewlyCoveredIds(p.ids, covered->words(), fn);
-  ForEachNewlyCoveredBlocks(p.words, p.masks, covered->words(), fn);
+  collection.ForEachCoveringRun(v, [&](std::span<const RRId> run) {
+    ForEachNewlyCoveredIds(run, covered->words(), fn);
+  });
 }
 
 }  // namespace opim

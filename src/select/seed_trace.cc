@@ -1,7 +1,6 @@
 #include "select/seed_trace.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -48,13 +47,9 @@ void SeedTrace::AttributeJudgeCoverage(const RRCollection& r2) {
   uint64_t* words = covered.words();
   uint64_t cov = 0;
   for (size_t i = 0; i < seeds_.size(); ++i) {
-    const RRCollection::CoverPostings p = r2.Covering(seeds_[i]);
-    ForEachNewlyCoveredIds(p.ids, words, [&](RRId) { ++cov; });
-    for (size_t b = 0; b < p.words.size(); ++b) {
-      const uint64_t fresh = p.masks[b] & ~words[p.words[b]];
-      cov += std::popcount(fresh);
-      words[p.words[b]] |= fresh;
-    }
+    r2.ForEachCoveringRun(seeds_[i], [&](std::span<const RRId> run) {
+      ForEachNewlyCoveredIds(run, words, [&](RRId) { ++cov; });
+    });
     lambda2_at_[i + 1] = cov;
   }
   // When n < k there are fewer real seeds than prefixes; Λ2 is flat from

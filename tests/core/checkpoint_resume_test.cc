@@ -19,6 +19,7 @@
 #include "harness/datasets.h"
 #include "rrset/snapshot.h"
 #include "support/run_control.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
@@ -30,7 +31,7 @@ constexpr double kDelta = 0.01;
 Graph TestGraph() { return MakeTinyTestGraph(512, 3); }
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = TestTempPath(name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

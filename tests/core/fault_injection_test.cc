@@ -26,6 +26,7 @@
 #include "rrset/rr_collection.h"
 #include "support/random.h"
 #include "support/run_control.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
@@ -163,7 +164,7 @@ TEST_F(FaultInjectionTest, MmapFailFallsBackToHeapLoad) {
   // io.mmap_fail kills the page-table path; LoadOpimg must degrade to
   // the heap read and return a bit-identical, just unmapped, graph.
   Graph g = GenerateBarabasiAlbert(200, 3);
-  const std::string path = ::testing::TempDir() + "/opim_fi_mmap.opimg";
+  const std::string path = TestTempPath("opim_fi_mmap.opimg");
   ASSERT_TRUE(SaveOpimg(g, path).ok());
   fault::Arm("io.mmap_fail", 1);
   auto r = LoadOpimg(path);

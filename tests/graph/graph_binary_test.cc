@@ -6,12 +6,13 @@
 #include <fstream>
 
 #include "gen/generators.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(GraphBinaryTest, RoundTripPreservesEverything) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.h"
+
 namespace opim {
 namespace {
 
@@ -74,7 +76,7 @@ TEST(GraphIoTest, SaveLoadRoundTrip) {
   b.AddEdge(2, 0, 0.875);
   Graph g = b.Build();
 
-  std::string path = ::testing::TempDir() + "/opim_roundtrip.txt";
+  std::string path = TestTempPath("opim_roundtrip.txt");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   auto r = LoadEdgeList(path);
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -10,12 +10,13 @@
 #include <vector>
 
 #include "gen/generators.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::string ReadFile(const std::string& path) {

@@ -16,6 +16,7 @@
 #include "graph/graph_binary.h"
 #include "graph/graph_io.h"
 #include "support/random.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
@@ -124,7 +125,7 @@ TEST(LoaderRobustnessTest, BenignFixtureCorpusAllParse) {
 TEST(LoaderRobustnessTest, RandomBinaryGarbageNeverCrashes) {
   Rng rng(1);
   for (int trial = 0; trial < 30; ++trial) {
-    std::string path = ::testing::TempDir() + "/opim_fuzz_" +
+    std::string path = TestTempPath("opim_fuzz_") +
                        std::to_string(trial) + ".bin";
     {
       std::ofstream f(path, std::ios::binary);
@@ -151,7 +152,7 @@ TEST(LoaderRobustnessTest, HeaderClaimsHugeEdgeCount) {
   // A header demanding 2^40 edges with no payload must fail with IOError,
   // not attempt a 16 TiB allocation... the columnar reader resizes first,
   // so keep the claim large but allocatable and verify the read fails.
-  std::string path = ::testing::TempDir() + "/opim_huge_claim.bin";
+  std::string path = TestTempPath("opim_huge_claim.bin");
   {
     std::ofstream f(path, std::ios::binary);
     f << "OPIMGRB1";
@@ -168,7 +169,7 @@ TEST(LoaderRobustnessTest, HeaderClaimsHugeEdgeCount) {
 
 TEST(LoaderRobustnessTest, BinaryWithCorruptedEndpointRejected) {
   // Hand-craft a valid-shaped file whose edge points outside [0, n).
-  std::string path = ::testing::TempDir() + "/opim_bad_endpoint.bin";
+  std::string path = TestTempPath("opim_bad_endpoint.bin");
   {
     std::ofstream f(path, std::ios::binary);
     f << "OPIMGRB1";

@@ -11,6 +11,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
@@ -299,7 +300,7 @@ TEST(RunReportTest, CsvHeaderEscapesHostileColumnNames) {
 TEST(RunReportTest, WriteJsonToFile) {
   RunReport report;
   report.AddInfo("k", "v");
-  std::string path = ::testing::TempDir() + "/opim_run_report_test.json";
+  std::string path = TestTempPath("opim_run_report_test.json");
   ASSERT_TRUE(report.WriteJson(path).ok());
   FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

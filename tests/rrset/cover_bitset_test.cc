@@ -1,5 +1,5 @@
 // CoverBitset semantics plus bit-identity of the scalar and AVX2 counting
-// kernels on randomized postings — the differential guarantee that lets
+// kernel on randomized posting runs — the differential guarantee that lets
 // runtime dispatch pick either path without changing any selection result.
 
 #include "rrset/cover_bitset.h"
@@ -55,26 +55,6 @@ TEST(CoverBitsetTest, ForEachNewlyCoveredIdsReportsOnlyFreshBits) {
   EXPECT_TRUE(fresh.empty());
 }
 
-TEST(CoverBitsetTest, ForEachNewlyCoveredBlocksMatchesIdSemantics) {
-  CoverBitset a, b;
-  a.Reset(256);
-  b.Reset(256);
-  a.Set(65);
-  b.Set(65);
-  // Ids 64..66 and 130 as one mask per word.
-  const std::vector<RRId> ids = {64, 65, 66, 130};
-  const std::vector<uint32_t> block_words = {1, 2};
-  const std::vector<uint64_t> block_masks = {0x7ull, 0x4ull};
-  std::vector<RRId> fresh_ids, fresh_blocks;
-  ForEachNewlyCoveredIds(ids, a.words(),
-                         [&](RRId id) { fresh_ids.push_back(id); });
-  ForEachNewlyCoveredBlocks(block_words, block_masks, b.words(),
-                            [&](RRId id) { fresh_blocks.push_back(id); });
-  EXPECT_EQ(fresh_ids, fresh_blocks);
-  EXPECT_EQ(fresh_blocks, (std::vector<RRId>{64, 66, 130}));
-  for (uint64_t i = 0; i < 256; ++i) EXPECT_EQ(a.Test(i), b.Test(i));
-}
-
 /// Brute-force oracle for CountUncoveredIds.
 uint64_t BruteCountIds(const std::vector<RRId>& ids, const CoverBitset& bits) {
   uint64_t c = 0;
@@ -82,22 +62,9 @@ uint64_t BruteCountIds(const std::vector<RRId>& ids, const CoverBitset& bits) {
   return c;
 }
 
-/// Brute-force oracle for CountUncoveredBlocks.
-uint64_t BruteCountBlocks(const std::vector<uint32_t>& words,
-                          const std::vector<uint64_t>& masks,
-                          const CoverBitset& bits) {
-  uint64_t c = 0;
-  for (size_t i = 0; i < words.size(); ++i) {
-    c += std::popcount(masks[i] & ~bits.words()[words[i]]);
-  }
-  return c;
-}
-
 struct RandomCase {
   CoverBitset bits;
   std::vector<RRId> ids;
-  std::vector<uint32_t> block_words;
-  std::vector<uint64_t> block_masks;
 };
 
 RandomCase MakeRandomCase(Rng& rng, uint64_t num_bits) {
@@ -113,16 +80,6 @@ RandomCase MakeRandomCase(Rng& rng, uint64_t num_bits) {
   }
   std::sort(c.ids.begin(), c.ids.end());
   c.ids.erase(std::unique(c.ids.begin(), c.ids.end()), c.ids.end());
-  uint32_t prev = UINT32_MAX;
-  for (RRId id : c.ids) {  // derive the block rep from the same ids
-    const uint32_t w = id >> 6;
-    if (w != prev) {
-      c.block_words.push_back(w);
-      c.block_masks.push_back(0);
-      prev = w;
-    }
-    c.block_masks.back() |= uint64_t{1} << (id & 63);
-  }
   return c;
 }
 
@@ -134,9 +91,6 @@ TEST(CoverKernelTest, ScalarMatchesBruteForce) {
     RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(2048));
     EXPECT_EQ(CountUncoveredIds(c.ids, c.bits.words()),
               BruteCountIds(c.ids, c.bits));
-    EXPECT_EQ(CountUncoveredBlocks(c.block_words, c.block_masks,
-                                   c.bits.words()),
-              BruteCountBlocks(c.block_words, c.block_masks, c.bits));
   }
 }
 
@@ -150,14 +104,8 @@ TEST(CoverKernelTest, Avx2BitIdenticalToScalar) {
     RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(4096));
     SetCoverageSimdMode(SimdMode::kScalar);
     const uint64_t ids_scalar = CountUncoveredIds(c.ids, c.bits.words());
-    const uint64_t blk_scalar =
-        CountUncoveredBlocks(c.block_words, c.block_masks, c.bits.words());
     SetCoverageSimdMode(SimdMode::kAvx2);
     EXPECT_EQ(CountUncoveredIds(c.ids, c.bits.words()), ids_scalar)
-        << "trial " << trial;
-    EXPECT_EQ(CountUncoveredBlocks(c.block_words, c.block_masks,
-                                   c.bits.words()),
-              blk_scalar)
         << "trial " << trial;
   }
 }

@@ -316,7 +316,7 @@ TEST(RRCollectionBatchTest, ParallelRebuildMatchesSerial) {
 }
 
 TEST(RRCollectionBatchTest, AddSetAfterBatchKeepsIndexFresh) {
-  // AddSet defers the index rebuild; the next covering query must observe
+  // AddSet defers indexing; the next covering query must observe
   // both the batched and the incrementally added sets.
   RRCollection rr(3);
   std::vector<RRBatch> shards;

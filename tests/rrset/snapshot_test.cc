@@ -19,12 +19,13 @@
 #include "rrset/snapshot.h"
 #include "support/fault_inject.h"
 #include "support/random.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::vector<uint8_t> ReadAll(const std::string& path) {

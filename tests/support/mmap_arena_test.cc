@@ -7,11 +7,13 @@
 #include <fstream>
 #include <string>
 
+#include "temp_path.h"
+
 namespace opim {
 namespace {
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(MmapArenaTest, AlignUpRoundsToCacheLines) {

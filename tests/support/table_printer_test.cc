@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.h"
+
 namespace opim {
 namespace {
 
@@ -57,7 +59,7 @@ TEST(TablePrinterTest, CellFormatting) {
 TEST(TablePrinterTest, WriteCsvRoundTrips) {
   TablePrinter t({"k", "v"});
   t.AddRow({"1", "a"});
-  std::string path = ::testing::TempDir() + "/opim_table_test.csv";
+  std::string path = TestTempPath("opim_table_test.csv");
   ASSERT_TRUE(t.WriteCsv(path).ok());
   std::ifstream f(path);
   std::string line;

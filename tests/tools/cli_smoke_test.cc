@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <string>
 
+#include "temp_path.h"
+
 namespace opim {
 namespace {
 
@@ -34,7 +36,7 @@ int ExitCode(int wait_status) {
 std::string Cli() { return OPIM_CLI_PATH; }
 
 std::string TmpFile(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(CliSmokeTest, GenStatsRoundTrip) {

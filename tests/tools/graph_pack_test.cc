@@ -16,6 +16,7 @@
 #include "graph/graph_binary.h"
 #include "graph/graph_io.h"
 #include "graph/graph_mmap.h"
+#include "temp_path.h"
 
 namespace opim {
 namespace {
@@ -38,7 +39,7 @@ std::pair<int, std::string> RunCommand(const std::string& cmd) {
 std::string Pack() { return OPIM_GRAPH_PACK_PATH; }
 
 std::string TmpFile(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(GraphPackTest, EdgeListToOpimgVerifiedRoundTrip) {
