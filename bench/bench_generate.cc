@@ -14,6 +14,8 @@
 //                   and cached SamplingView, i.e. exactly what RunOpimC
 //                   pays per doubling (view and pool amortize across the
 //                   run). Falls back to the 1t number when threads_n == 1.
+//   *_view_build  — one view build on the engine path's pool, as RunOpimC
+//                   builds it; `view_bytes` holds each view's footprint.
 // Each end-to-end run also reports an ingest-phase breakdown
 // (ingest_breakdown_us) assembled from telemetry histogram deltas:
 // sample+fused sort/compress plus the shard postings in the workers
@@ -272,6 +274,7 @@ int Run(const Config& cfg) {
   std::vector<std::pair<std::string, double>> timings;
   std::vector<std::pair<std::string, double>> speedups;
   std::vector<std::pair<std::string, StageBreakdown>> breakdowns;
+  std::vector<std::pair<std::string, uint64_t>> view_bytes;
   for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                DiffusionModel::kLinearThreshold}) {
     const char* tag = DiffusionModelName(model);
@@ -338,19 +341,23 @@ int Run(const Config& cfg) {
     // Engine end-to-end path at `nt` threads: run-owned pool and cached
     // SamplingView (both built outside the timed region), matching what
     // RunOpimC pays per doubling once the run is set up. The view build
-    // it amortizes is reported separately below.
+    // it amortizes is reported separately, built on the same pool as
+    // RunOpimC builds it, together with the bytes the view owns.
+    std::optional<ThreadPool> pool;
+    if (nt > 1) pool.emplace(nt);
+    ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
     Stopwatch view_watch;
-    const SamplingView cached_view(g, SamplingViewPartsFor(model));
-    timings.emplace_back(std::string(tag) + "_view_build",
-                         view_watch.ElapsedSeconds() * 1e6);
+    const SamplingView cached_view(g, SamplingViewPartsFor(model), pool_ptr);
+    const double view_us = view_watch.ElapsedSeconds() * 1e6;
+    timings.emplace_back(std::string(tag) + "_view_build", view_us);
+    view_bytes.emplace_back(tag, cached_view.MemoryFootprintBytes());
     double genN_us = gen1_us;
     StageBreakdown bn = breakdowns.back().second;
     if (nt > 1) {
-      ThreadPool pool(nt);
       genN_us = TimeMinUs(cfg.reps, [&] {
         RRCollection rr(cfg.n);
         ParallelGenerate(g, model, &rr, cfg.theta, /*seed=*/11,
-                         /*num_threads=*/nt, {}, &pool, &cached_view);
+                         /*num_threads=*/nt, {}, pool_ptr, &cached_view);
         sink += rr.total_size();
       });
       bn = BreakdownBetween(snap1, MetricsRegistry::Default().Snapshot(),
@@ -362,10 +369,13 @@ int Run(const Config& cfg) {
     std::fprintf(stderr,
                  "bench_generate: %s kernel_1t=%.0fus (ref=%.0fus, "
                  "speedup=%.2fx) generate_1t=%.0fus generate_%ut=%.0fus "
-                 "(sample+compress=%.0fus ingest=%.0fus index=%.0fus)\n",
+                 "(sample+compress=%.0fus ingest=%.0fus index=%.0fus) "
+                 "view_build_%ut=%.0fus view_bytes=%llu\n",
                  tag, kernel_us, ref_us, kernel_speedup, gen1_us, nt,
                  genN_us, bn.sample_sort_compress_us, bn.ingest_us,
-                 bn.index_us);
+                 bn.index_us, nt, view_us,
+                 static_cast<unsigned long long>(
+                     cached_view.MemoryFootprintBytes()));
   }
 
   w.Key("timings_us").BeginObject();
@@ -390,6 +400,10 @@ int Run(const Config& cfg) {
     w.Key("index").Value(b.index_us);
     w.EndObject();
   }
+  w.EndObject();
+  // Bytes each model's view owns (SamplingView::MemoryFootprintBytes).
+  w.Key("view_bytes").BeginObject();
+  for (const auto& [key, bytes] : view_bytes) w.Key(key).Value(bytes);
   w.EndObject();
   w.Key("throughput_sets_per_s").BeginObject();
   for (const auto& [key, us] : timings) {

@@ -112,8 +112,7 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   // One sampling view for the whole run: every doubling of both pools
   // borrows the same precomputed kernel state (quantized thresholds /
   // alias arena) instead of rebuilding it per generate call.
-  const SamplingView sampling_view(g, SamplingViewPartsFor(model), pool.get(),
-                                   {.seal_arena = options.view_arena});
+  const SamplingView sampling_view(g, SamplingViewPartsFor(model), pool.get());
 
   // Generation goes through ParallelGenerate even in the serial case so
   // the RR stream depends only on (seed, num_threads); each batch gets a

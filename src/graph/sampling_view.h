@@ -7,11 +7,11 @@
 // SamplingView precomputes, once per graph, everything that lets the
 // kernels consume the RNG stream 32 bits at a time:
 //
-//   * IC: per-edge *reject* thresholds quantized to uint32_t — an edge is
-//     rejected iff `rng.NextU32() < rej`, with per-edge error <= 2^-32 and
-//     p >= 1 kept *exactly* (rej == 0). Edges with p <= 0 are dropped from
-//     the view entirely (exactly never live; traversal cost still charges
-//     the full in-degree, which the view carries per node). Each node is
+//   * IC: reject thresholds quantized to uint32_t — an edge is rejected
+//     iff `rng.NextU32() < rej`, with per-edge error <= 2^-32 and p >= 1
+//     kept *exactly* (rej == 0). Edges with p <= 0 are never traversed
+//     (exactly never live; traversal cost still charges the full
+//     in-degree, which the view carries per node). Each node is
 //     classified: uniform-probability nodes — true by construction for
 //     kWeightedCascade and kConstant weights — with enough in-edges
 //     additionally precompute 1/log1p(-p), so the kernel can jump
@@ -22,24 +22,37 @@
 //     allocated per-node tables, plus a quantized per-node stop threshold
 //     (the walk continues with probability Σ_w p(w, v)).
 //
+// The IC part borrows the graph's reverse CSR instead of copying it. A
+// *direct* node — every in-edge carries one probability p > 0, as on
+// weighted-cascade and constant-weight graphs — needs a single threshold
+// (or a single 1/log1p(-p)), so its 16-byte record stores that number next
+// to the node's offset into Graph's in-neighbor array, and the kernel
+// reads the neighbors from there. Only *side* nodes — mixed probabilities,
+// or a uniform node with dropped p <= 0 edges — get a compacted
+// {neighbor, reject} list of their kept edges in a side array. On WC and
+// constant graphs the view is therefore O(n): building it is one read-only
+// classification pass over the probabilities, and it writes nothing
+// m-sized.
+//
 // The storage layout is chosen for the memory-latency profile of real RR
 // sampling: at typical scales a sample touches a handful of *random*
 // nodes, so cache lines per member — not arithmetic — bound throughput.
-// Per-node state is packed into one 8-byte record (edge offset + full
-// in-degree + kind for IC; edge offset + stop threshold for LT), and
-// per-edge state is interleaved ({neighbor, reject} pairs for IC; fully
-// resolved {reject, keep, alias} buckets for LT — the LT walk never
-// touches the Graph arrays at all). One random load per member where the
-// split-array layout took three or four.
+// Per-node state is one record per node (offset + full in-degree + kind +
+// threshold or skip constant for IC; edge offset + stop threshold for LT),
+// so a member costs one record load plus one sequential run of its
+// neighbors. The LT buckets are fully resolved {reject, keep, alias}
+// triples, so the LT walk never touches the Graph arrays at all.
 //
 // A view is immutable after construction and shared read-only across
 // worker threads; ParallelGenerate builds one per call (or accepts a
 // caller-cached one) instead of letting every shard re-derive per-node
 // state. Construction parallelizes over nodes on an optional ThreadPool
-// and is deterministic for any worker count.
+// and is deterministic for any worker count. The view borrows the Graph,
+// which must outlive it.
 
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -51,20 +64,7 @@
 
 namespace opim {
 
-class MmapArena;
 class ThreadPool;
-
-/// Construction options for SamplingView.
-struct SamplingViewOptions {
-  /// Seal the built kernel state into one anonymous madvise-hinted
-  /// MmapArena: the five arrays are packed 64-byte aligned into a single
-  /// mapping (dropping the vectors' slack capacity) and hinted
-  /// MADV_WILLNEED so the kernels never stall on lazy first-touch
-  /// faults. Purely a storage move — the sampled RR streams are
-  /// byte-identical to the heap-backed layout. When the kernel refuses
-  /// the mapping the view silently stays heap-backed.
-  bool seal_arena = false;
-};
 
 /// Quantizes a keep-probability into the 32-bit reject threshold used by
 /// the sampling kernels: a trial is *rejected* iff `rng.NextU32() < rej`,
@@ -102,20 +102,51 @@ class SamplingView {
     kPerEdge,  ///< one quantized threshold compare per in-edge
   };
 
-  /// One interleaved IC edge: kept in-neighbor plus its quantized reject
-  /// threshold, adjacent so a single cache line serves both.
+  /// Low bits of IcNodeRecord::indeg_kind: the IcNodeKind (2 bits) and
+  /// kIcSideBit; the full in-degree sits above them.
+  static constexpr uint32_t kIcKindBits = 3;
+  static constexpr uint32_t kIcKindMask = (1u << kIcKindBits) - 1;
+  static constexpr uint32_t kIcSideBit = 4;
+
+  /// Largest in-degree the packed record can carry; the build checks
+  /// every node against it, so `edges_examined` can never wrap.
+  static constexpr uint64_t kMaxIcInDegree =
+      (uint64_t{1} << (32 - kIcKindBits)) - 1;
+
+  /// Packs `indeg << kIcKindBits | side | kind`. Checks `indeg` against
+  /// kMaxIcInDegree.
+  static uint32_t PackIcInDegreeKind(uint64_t indeg, IcNodeKind kind,
+                                     bool side) {
+    OPIM_CHECK_LE(indeg, kMaxIcInDegree);
+    return static_cast<uint32_t>(indeg << kIcKindBits) |
+           (side ? kIcSideBit : 0u) | static_cast<uint32_t>(kind);
+  }
+
+  /// One compacted side-list edge: kept in-neighbor plus its quantized
+  /// reject threshold, adjacent so a single cache line serves both.
   struct IcEdge {
     NodeId nbr;
     uint32_t rej;
   };
 
-  /// Packed per-node IC record: offset of the node's first kept edge in
-  /// the interleaved edge array, plus the *full* in-degree (for the cost
-  /// contract) and the IcNodeKind packed as `indeg << 2 | kind`. One
-  /// 8-byte load gives the kernel everything about a member but the edges.
-  struct IcNodeMeta {
+  /// Packed per-node IC record, four to a cache line.
+  ///   * `offset`: first kept in-edge — an index into the graph's
+  ///     in-neighbor array for direct nodes, into the side list for side
+  ///     nodes.
+  ///   * `indeg_kind`: the *full* in-degree (the cost contract), the
+  ///     IcNodeKind and kIcSideBit; see PackIcInDegreeKind.
+  ///   * `param`, by node class:
+  ///       - direct kSkip: the bits of the double 1/log1p(-p);
+  ///       - direct kPerEdge / kKeepAll: the one reject threshold;
+  ///       - side: the kept-edge count (low 32 bits) and, for kSkip, the
+  ///         index of 1/log1p(-p) in the side skip array (high 32 bits);
+  ///       - kEmpty: 0.
+  ///     A direct node keeps every in-edge, so its kept count is its
+  ///     in-degree.
+  struct IcNodeRecord {
     uint32_t offset;
     uint32_t indeg_kind;
+    uint64_t param;
   };
 
   /// One resolved LT alias bucket: the draw *deviates to `alias`* iff
@@ -147,56 +178,79 @@ class SamplingView {
   /// construction; the result is identical for any worker count. The LT
   /// part requires per-node in-weights summing to <= 1 (checked).
   explicit SamplingView(const Graph& g, Parts parts = Parts::kBoth,
-                        ThreadPool* pool = nullptr,
-                        const SamplingViewOptions& options = {});
+                        ThreadPool* pool = nullptr);
 
   OPIM_DISALLOW_COPY(SamplingView);
 
   const Graph& graph() const { return *graph_; }
-  bool has_ic() const { return !ic_meta_.empty(); }
+  bool has_ic() const { return ic_nodes_ != nullptr; }
   bool has_lt() const { return !lt_meta_.empty(); }
 
-  /// Footprint of the precomputed kernel state in bytes: the sealed
-  /// arena's size when arena-backed, else the heap vectors'
-  /// capacity-based sum. Counted against RunControl memory budgets
-  /// together with RRCollection::MemoryUsage().
+  /// Bytes the view itself owns: the IC records, side list and side skip
+  /// constants plus the LT arena. The graph's in-CSR that direct IC nodes
+  /// read is the graph's storage and is not counted. Counted against
+  /// RunControl memory budgets together with RRCollection::MemoryUsage().
   uint64_t MemoryFootprintBytes() const {
-    if (arena_ != nullptr) return arena_size_;
-    return own_ic_meta_.capacity() * sizeof(IcNodeMeta) +
-           own_ic_edges_.capacity() * sizeof(IcEdge) +
-           own_ic_skip_inv_log_.capacity() * sizeof(double) +
-           own_lt_meta_.capacity() * sizeof(LtNodeMeta) +
-           own_lt_buckets_.capacity() * sizeof(LtBucket);
+    return (has_ic() ? uint64_t{graph_->num_nodes()} : 0) *
+               sizeof(IcNodeRecord) +
+           ic_side_.capacity() * sizeof(IcEdge) +
+           ic_side_skip_inv_.capacity() * sizeof(double) +
+           lt_meta_.capacity() * sizeof(LtNodeMeta) +
+           lt_buckets_.capacity() * sizeof(LtBucket);
   }
-
-  /// True when the kernel state was sealed into an MmapArena.
-  bool arena_backed() const { return arena_ != nullptr; }
 
   // --- IC part -----------------------------------------------------------
 
   IcNodeKind ic_kind(NodeId v) const {
-    return static_cast<IcNodeKind>(ic_meta_[v].indeg_kind & 3u);
+    return static_cast<IcNodeKind>(ic_nodes_[v].indeg_kind & 3u);
+  }
+
+  /// True when the kernel reads v's neighbors straight from the graph's
+  /// in-CSR (v has no side list).
+  bool IcDirect(NodeId v) const {
+    return (ic_nodes_[v].indeg_kind & kIcSideBit) == 0;
   }
 
   /// Full in-degree of v (including dropped p <= 0 edges): the traversal
   /// cost the sampler charges per member.
   uint32_t IcFullInDegree(NodeId v) const {
-    return ic_meta_[v].indeg_kind >> 2;
+    return ic_nodes_[v].indeg_kind >> kIcKindBits;
   }
 
-  /// Kept (p > 0) in-edges of v in reverse-CSR order, each a
-  /// {neighbor, reject threshold} pair.
-  std::span<const IcEdge> IcEdges(NodeId v) const {
-    return {ic_edges_.data() + ic_meta_[v].offset,
-            ic_edges_.data() + ic_meta_[v + 1].offset};
+  /// Number of kept (p > 0) in-edges of v.
+  uint32_t IcKeptDegree(NodeId v) const {
+    if (ic_kind(v) == IcNodeKind::kEmpty) return 0;
+    return IcDirect(v) ? IcFullInDegree(v)
+                       : static_cast<uint32_t>(ic_nodes_[v].param);
+  }
+
+  /// The i-th kept in-edge of v in reverse-CSR order (i < IcKeptDegree)
+  /// with its reject threshold. For direct kSkip nodes, which the kernel
+  /// traverses by geometric gaps instead, the threshold is derived from
+  /// the graph's probability.
+  IcEdge IcKeptEdge(NodeId v, uint32_t i) const;
+
+  /// The compacted {neighbor, reject} list of a side node; empty for
+  /// direct nodes.
+  std::span<const IcEdge> IcSideEdges(NodeId v) const {
+    if (IcDirect(v)) return {};
+    return {ic_side_.data() + ic_nodes_[v].offset, IcKeptDegree(v)};
   }
 
   /// 1/log1p(-p) for kSkip nodes (meaningless otherwise).
-  double IcSkipInvLog(NodeId v) const { return ic_skip_inv_log_[v]; }
+  double IcSkipInvLog(NodeId v) const {
+    const IcNodeRecord& r = ic_nodes_[v];
+    return IcDirect(v) ? std::bit_cast<double>(r.param)
+                       : ic_side_skip_inv_[r.param >> 32];
+  }
 
-  /// Raw array access for the sampling kernels (size n + 1 / total kept).
-  const IcNodeMeta* IcMetaData() const { return ic_meta_.data(); }
-  const IcEdge* IcEdgeData() const { return ic_edges_.data(); }
+  /// Raw array access for the sampling kernel: per-node records (n), the
+  /// graph's in-neighbor array (m), the side list and the side skip
+  /// constants.
+  const IcNodeRecord* IcNodeData() const { return ic_nodes_.get(); }
+  const NodeId* IcCsrNeighbors() const { return ic_csr_nbrs_; }
+  const IcEdge* IcSideData() const { return ic_side_.data(); }
+  const double* IcSideSkipInvData() const { return ic_side_skip_inv_.data(); }
 
   // --- LT part -----------------------------------------------------------
 
@@ -222,34 +276,20 @@ class SamplingView {
   void BuildIc(ThreadPool* pool);
   void BuildLt(ThreadPool* pool);
 
-  /// Rebinds the span members to the own_* vectors (heap-backed state).
-  void BindOwned();
-
-  /// Packs the built arrays into one anonymous arena and rebinds the
-  /// spans into it; no-op (heap stays) when the mapping is refused.
-  void SealArena();
-
   const Graph* graph_;
 
-  // Active views; bound to own_* (heap) or into arena_ (sealed).
-  std::span<const IcNodeMeta> ic_meta_;      // n + 1 (last: end offset)
-  std::span<const IcEdge> ic_edges_;         // m' <= m
-  std::span<const double> ic_skip_inv_log_;  // n (kSkip nodes only)
-  std::span<const LtNodeMeta> lt_meta_;      // n + 1 (last: end offset)
-  std::span<const LtBucket> lt_buckets_;     // m
-
-  // IC: compacted reverse CSR over positive-probability edges.
-  std::vector<IcNodeMeta> own_ic_meta_;
-  std::vector<IcEdge> own_ic_edges_;
-  std::vector<double> own_ic_skip_inv_log_;
+  // IC: one record per node, the borrowed in-neighbor array, and the
+  // side list of kept edges for nodes that cannot read the CSR directly.
+  // The records are left uninitialized until the parallel classification
+  // pass writes each one, so no serial n-sized zero fill precedes it.
+  std::unique_ptr<IcNodeRecord[]> ic_nodes_;
+  const NodeId* ic_csr_nbrs_ = nullptr;
+  std::vector<IcEdge> ic_side_;
+  std::vector<double> ic_side_skip_inv_;  // one per side kSkip node
 
   // LT: flattened alias arena aligned with the full reverse CSR.
-  std::vector<LtNodeMeta> own_lt_meta_;
-  std::vector<LtBucket> own_lt_buckets_;
-
-  // Sealed storage; null while heap-backed.
-  std::shared_ptr<MmapArena> arena_;
-  uint64_t arena_size_ = 0;
+  std::vector<LtNodeMeta> lt_meta_;   // n + 1 (last: end offset)
+  std::vector<LtBucket> lt_buckets_;  // m
 };
 
 }  // namespace opim

@@ -195,10 +195,92 @@ TEST(SamplingViewTest, ClassifiesNodesAndDropsDeadEdges) {
   EXPECT_EQ(view.ic_kind(4), SamplingView::IcNodeKind::kEmpty);
   EXPECT_EQ(view.ic_kind(5), SamplingView::IcNodeKind::kEmpty);
 
-  EXPECT_EQ(view.IcEdges(0).size(), 20u);
-  EXPECT_EQ(view.IcEdges(4).size(), 0u);  // p = 0 edge dropped
+  EXPECT_EQ(view.IcKeptDegree(0), 20u);
+  EXPECT_EQ(view.IcKeptDegree(4), 0u);    // p = 0 edge dropped
   EXPECT_EQ(view.IcFullInDegree(4), 1u);  // cost contract still charges it
-  for (const auto& e : view.IcEdges(2)) EXPECT_EQ(e.rej, 0u);
+  EXPECT_EQ(view.IcKeptDegree(2), 2u);
+  for (uint32_t i = 0; i < view.IcKeptDegree(2); ++i) {
+    EXPECT_EQ(view.IcKeptEdge(2, i).rej, 0u);
+  }
+
+  // Uniform nodes without dead edges read the graph's CSR directly and
+  // own no side edges; only the mixed node needs a side list.
+  for (NodeId v : {0u, 1u, 2u, 4u, 5u}) {
+    EXPECT_TRUE(view.IcDirect(v)) << "node " << v;
+    EXPECT_TRUE(view.IcSideEdges(v).empty()) << "node " << v;
+  }
+  EXPECT_FALSE(view.IcDirect(3));
+  ASSERT_EQ(view.IcSideEdges(3).size(), 2u);
+  EXPECT_EQ(view.IcSideEdges(3)[0].nbr, 5u);
+  EXPECT_EQ(view.IcSideEdges(3)[0].rej, QuantizeRejectThreshold(0.2));
+  EXPECT_EQ(view.IcSideEdges(3)[1].nbr, 6u);
+  EXPECT_EQ(view.IcSideEdges(3)[1].rej, QuantizeRejectThreshold(0.7));
+  // Direct nodes' kept edges are the graph's in-edges, in CSR order.
+  for (uint32_t i = 0; i < view.IcKeptDegree(1); ++i) {
+    EXPECT_EQ(view.IcKeptEdge(1, i).nbr, g.InNeighbors(1)[i]);
+    EXPECT_EQ(view.IcKeptEdge(1, i).rej, QuantizeRejectThreshold(0.5));
+  }
+}
+
+TEST(SamplingViewTest, UniformNodeWithDeadEdgeGetsSideList) {
+  GraphBuilder b(40);
+  // Node 0: 20 uniform skip-range edges plus one p = 0 edge. The skip
+  // positions run over the kept edges only, so the node needs a
+  // compacted side list even though it is uniform.
+  for (NodeId u = 1; u <= 20; ++u) b.AddEdge(u, 0, 0.05);
+  b.AddEdge(21, 0, 0.0);
+  // Node 1: keep-all with a dead edge.
+  b.AddEdge(2, 1, 1.0);
+  b.AddEdge(3, 1, 0.0);
+  Graph g = b.Build();
+  SamplingView view(g, SamplingView::Parts::kIc);
+
+  EXPECT_EQ(view.ic_kind(0), SamplingView::IcNodeKind::kSkip);
+  EXPECT_FALSE(view.IcDirect(0));
+  EXPECT_EQ(view.IcFullInDegree(0), 21u);
+  EXPECT_EQ(view.IcKeptDegree(0), 20u);
+  EXPECT_EQ(view.IcSkipInvLog(0), 1.0 / std::log1p(-0.05));
+  for (const auto& e : view.IcSideEdges(0)) EXPECT_NE(e.nbr, 21u);
+
+  EXPECT_EQ(view.ic_kind(1), SamplingView::IcNodeKind::kKeepAll);
+  EXPECT_FALSE(view.IcDirect(1));
+  ASSERT_EQ(view.IcSideEdges(1).size(), 1u);
+  EXPECT_EQ(view.IcSideEdges(1)[0].nbr, 2u);
+  EXPECT_EQ(view.IcSideEdges(1)[0].rej, 0u);
+}
+
+TEST(SamplingViewTest, WeightedCascadeFootprintHasNoEdgeTerm) {
+  // On a weighted-cascade graph every node is direct, so the view owns
+  // one record per node and nothing per edge: graphs with the same n and
+  // four times the edges have the same footprint.
+  const Graph sparse = GenerateBarabasiAlbert(20000, 3);
+  const Graph dense = GenerateBarabasiAlbert(20000, 12);
+  ASSERT_GT(dense.num_edges(), 3 * sparse.num_edges());
+  const SamplingView a(sparse, SamplingView::Parts::kIc);
+  const SamplingView b(dense, SamplingView::Parts::kIc);
+  const uint64_t per_node =
+      uint64_t{sparse.num_nodes()} * sizeof(SamplingView::IcNodeRecord);
+  EXPECT_EQ(a.MemoryFootprintBytes(), per_node);
+  EXPECT_EQ(b.MemoryFootprintBytes(), per_node);
+}
+
+TEST(SamplingViewTest, PackedInDegreeLimit) {
+  // The record packs the full in-degree above kIcKindBits kind bits in 32
+  // bits; the largest in-degree must round-trip, and one more is refused
+  // at build time instead of silently wrapping `edges_examined`.
+  EXPECT_EQ(SamplingView::kMaxIcInDegree, (uint64_t{1} << 29) - 1);
+  const uint32_t packed = SamplingView::PackIcInDegreeKind(
+      SamplingView::kMaxIcInDegree, SamplingView::IcNodeKind::kPerEdge,
+      /*side=*/true);
+  EXPECT_EQ(packed >> SamplingView::kIcKindBits,
+            SamplingView::kMaxIcInDegree);
+  EXPECT_EQ(packed & 3u,
+            static_cast<uint32_t>(SamplingView::IcNodeKind::kPerEdge));
+  EXPECT_NE(packed & SamplingView::kIcSideBit, 0u);
+  EXPECT_DEATH(SamplingView::PackIcInDegreeKind(
+                   SamplingView::kMaxIcInDegree + 1,
+                   SamplingView::IcNodeKind::kEmpty, /*side=*/false),
+               "OPIM_CHECK");
 }
 
 TEST(SamplingViewTest, SkipThresholdRespectsDegreeAndProbability) {
@@ -240,12 +322,16 @@ TEST(SamplingViewTest, ParallelBuildMatchesSerialBuild) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(serial.ic_kind(v), parallel.ic_kind(v)) << "node " << v;
     ASSERT_EQ(serial.IcFullInDegree(v), parallel.IcFullInDegree(v));
-    const auto se = serial.IcEdges(v);
-    const auto pe = parallel.IcEdges(v);
-    ASSERT_EQ(se.size(), pe.size()) << "node " << v;
-    for (size_t i = 0; i < se.size(); ++i) {
-      ASSERT_EQ(se[i].nbr, pe[i].nbr);
-      ASSERT_EQ(se[i].rej, pe[i].rej);
+    ASSERT_EQ(serial.IcDirect(v), parallel.IcDirect(v)) << "node " << v;
+    ASSERT_EQ(serial.IcKeptDegree(v), parallel.IcKeptDegree(v));
+    if (serial.ic_kind(v) == SamplingView::IcNodeKind::kSkip) {
+      ASSERT_EQ(serial.IcSkipInvLog(v), parallel.IcSkipInvLog(v));
+    }
+    for (uint32_t i = 0; i < serial.IcKeptDegree(v); ++i) {
+      const SamplingView::IcEdge se = serial.IcKeptEdge(v, i);
+      const SamplingView::IcEdge pe = parallel.IcKeptEdge(v, i);
+      ASSERT_EQ(se.nbr, pe.nbr);
+      ASSERT_EQ(se.rej, pe.rej);
     }
     ASSERT_EQ(serial.LtStopReject(v), parallel.LtStopReject(v));
     ASSERT_EQ(serial.LtOffset(v), parallel.LtOffset(v));
@@ -258,6 +344,52 @@ TEST(SamplingViewTest, ParallelBuildMatchesSerialBuild) {
       ASSERT_EQ(sb.alias, pb.alias);
     }
   }
+}
+
+TEST(SamplingViewTest, ParallelSideListsMatchSerialBuild) {
+  // Side nodes in every chunk: the parallel build places each chunk's
+  // side edges and skip constants from per-chunk tallies, which must land
+  // exactly where the serial build puts them.
+  constexpr NodeId kN = 30000;
+  GraphBuilder b(kN);
+  Rng rng(2718);
+  for (NodeId v = 0; v < kN; ++v) {
+    const uint32_t d = v % 40;
+    for (uint32_t i = 0; i < d; ++i) {
+      const NodeId u = rng.UniformBelow(kN);
+      switch (v % 4) {
+        case 0: b.AddEdge(u, v, 0.05); break;                    // direct
+        case 1: b.AddEdge(u, v, i == 0 ? 0.0 : 0.05); break;     // dead edge
+        case 2: b.AddEdge(u, v, 0.01 * (1 + i % 3)); break;      // mixed
+        default: b.AddEdge(u, v, i % 5 == 0 ? 0.0 : 1.0); break;
+      }
+    }
+  }
+  Graph g = b.Build();
+  ThreadPool pool(4);
+  SamplingView serial(g, SamplingView::Parts::kIc);
+  SamplingView parallel(g, SamplingView::Parts::kIc, &pool);
+  EXPECT_EQ(serial.MemoryFootprintBytes(), parallel.MemoryFootprintBytes());
+  uint64_t side_nodes = 0;
+  for (NodeId v = 0; v < kN; ++v) {
+    ASSERT_EQ(serial.ic_kind(v), parallel.ic_kind(v)) << "node " << v;
+    ASSERT_EQ(serial.IcDirect(v), parallel.IcDirect(v)) << "node " << v;
+    ASSERT_EQ(serial.IcFullInDegree(v), parallel.IcFullInDegree(v));
+    ASSERT_EQ(serial.IcKeptDegree(v), parallel.IcKeptDegree(v));
+    if (serial.ic_kind(v) == SamplingView::IcNodeKind::kSkip) {
+      ASSERT_EQ(serial.IcSkipInvLog(v), parallel.IcSkipInvLog(v));
+    }
+    const auto se = serial.IcSideEdges(v);
+    const auto pe = parallel.IcSideEdges(v);
+    ASSERT_EQ(se.size(), pe.size()) << "node " << v;
+    side_nodes += !serial.IcDirect(v);
+    for (size_t i = 0; i < se.size(); ++i) {
+      ASSERT_EQ(se[i].nbr, pe[i].nbr);
+      ASSERT_EQ(se[i].rej, pe[i].rej);
+      ASSERT_NE(se[i].rej, SamplingView::kAlwaysReject);  // no dead edges
+    }
+  }
+  EXPECT_GT(side_nodes, kN / 3);
 }
 
 // ---------------------------------------------------------------------------
