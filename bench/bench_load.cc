@@ -1,8 +1,7 @@
 // Perf baseline for graph *loading*: text edge-list parsing vs the
-// memory-mapped `.opimg` container (see graph/graph_mmap.h), plus an
-// out-of-core spill demonstration. Emits one JSON object so
-// scripts/run_perf_baseline.sh can track before/after numbers
-// (BENCH_load.json).
+// memory-mapped `.opimg` container (see graph/graph_mmap.h). Emits one
+// JSON object so scripts/run_perf_baseline.sh can track before/after
+// numbers (BENCH_load.json).
 //
 // Timed configurations (min over reps, same page-cache state for all —
 // this measures the CPU cost of getting a usable Graph, which is what
@@ -20,16 +19,9 @@
 // Derived: load_speedup = text_parse_load / opimg_mmap_cold, the
 // headline "pay the parse once" ratio.
 //
-// The spill section runs a budgeted OPIM-C configuration whose memory
-// budget sits at its fully-resident peak footprint, with the spill tier
-// armed: it reports the stop reason (must be "converged"), chunks
-// spilled, and bytes moved to disk — the out-of-core tier's end-to-end
-// smoke, next to the loading numbers it shares this PR with.
-//
 //   ./build/bench/bench_load [--smoke] [--n=N] [--reps=R]
 //       [--label=NAME] [--out=FILE]
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,12 +30,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/opim_c.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
 #include "graph/graph_mmap.h"
 #include "obs/json.h"
-#include "support/run_control.h"
 #include "support/stopwatch.h"
 
 namespace opim {
@@ -157,30 +147,6 @@ int Run(const Config& cfg) {
   const double cold_us = timings[1].second;
   const double warm_us = timings[2].second;
 
-  // Out-of-core smoke: a serial budgeted run at its fully-resident peak
-  // footprint must spill and still converge (the spill differential test
-  // pins bit-identical outputs; this reports the scale of the movement).
-  GenOptions dense;
-  dense.scheme = WeightScheme::kConstant;
-  dense.constant_p = 0.25;
-  dense.seed = 9;
-  const Graph spill_graph = GenerateBarabasiAlbert(1500, 4, false, dense);
-  OpimCOptions oc;
-  oc.seed = 42;
-  oc.num_threads = 1;
-  const OpimCResult resident = RunOpimC(
-      spill_graph, DiffusionModel::kIndependentCascade, 8, 0.25, 0.05, oc);
-  uint64_t peak = 0;
-  for (const OpimCIteration& it : resident.trace) {
-    peak = std::max(peak, it.rr_bytes);
-  }
-  RunControl control;
-  control.SetMemoryBudgetBytes(peak);
-  oc.control = &control;
-  oc.spill_dir = "/tmp";
-  const OpimCResult spilled = RunOpimC(
-      spill_graph, DiffusionModel::kIndependentCascade, 8, 0.25, 0.05, oc);
-
   JsonWriter w;
   w.BeginObject();
   w.Key("label").Value(cfg.label);
@@ -198,25 +164,14 @@ int Run(const Config& cfg) {
   w.Key("opimg_mmap_cold").Value(text_us / cold_us);
   w.Key("opimg_mmap_warm").Value(text_us / warm_us);
   w.EndObject();
-  w.Key("spill").BeginObject();
-  w.Key("stop_reason")
-      .Value(StopReasonName(spilled.guardrails.stop_reason));
-  w.Key("memory_budget_bytes").Value(peak);
-  w.Key("chunks_spilled").Value(spilled.spill_chunks_spilled);
-  w.Key("chunks_faulted").Value(spilled.spill_chunks_faulted);
-  w.Key("spilled_bytes").Value(spilled.spilled_bytes);
-  w.EndObject();
   w.Key("checksum").Value(sink);
   w.EndObject();
 
   std::fprintf(stderr,
                "bench_load: text=%.0fus opimg_cold=%.0fus (%.1fx) "
-               "opimg_warm=%.0fus (%.1fx) heap=%.0fus spill=%s/%llu "
-               "chunks\n",
+               "opimg_warm=%.0fus (%.1fx) heap=%.0fus\n",
                text_us, cold_us, text_us / cold_us, warm_us,
-               text_us / warm_us, timings[3].second,
-               StopReasonName(spilled.guardrails.stop_reason),
-               static_cast<unsigned long long>(spilled.spill_chunks_spilled));
+               text_us / warm_us, timings[3].second);
 
   std::printf("%s\n", w.str().c_str());
   if (!cfg.out.empty()) {

@@ -25,9 +25,9 @@
 // The compression block reports the collection's compressed footprint
 // against (a) the raw uint32 bytes of the same members and (b) the exact
 // byte layout of the pre-compression storage (flat uint32 pool + uint64
-// offsets/costs + uint64-offset CSR index), plus CELF-trace timings for
-// the scalar and SIMD coverage kernels and for an in-process replica of
-// the legacy raw-array selection path on the identical stream.
+// offsets/costs + uint64-offset CSR index), plus the CELF-trace timing
+// of an in-process replica of the legacy raw-array selection path on the
+// identical stream.
 
 #include <algorithm>
 #include <cstdio>
@@ -418,24 +418,8 @@ int Run(const Config& cfg) {
   // (select_celf_trace itself is timed below, interleaved with the legacy
   // reference so the headline comparison is fair.)
 
-  // --- Compression ablation: the same selection under forced scalar and
-  // (when available) forced AVX2 kernels, plus the legacy raw-layout
-  // replica of the pre-rework storage + CELF path on the same stream.
-  SetCoverageSimdMode(SimdMode::kScalar);
-  const double celf_scalar_us = TimeMedianUs(cfg.reps, [&] {
-    select_sink += SelectGreedyCelf(rr, cfg.k).coverage;
-  });
-  const double celf_trace_scalar_us = TimeMedianUs(cfg.reps, [&] {
-    select_sink += SelectGreedyCelf(rr, cfg.k, /*with_trace=*/true).coverage;
-  });
-  const std::vector<NodeId> scalar_seeds = SelectGreedyCelf(rr, cfg.k).seeds;
-  SetCoverageSimdMode(SimdMode::kAuto);
-  const std::vector<NodeId> auto_seeds = SelectGreedyCelf(rr, cfg.k).seeds;
-  if (scalar_seeds != auto_seeds) {
-    std::fprintf(stderr, "FATAL: scalar/simd seed sets diverge\n");
-    return 1;
-  }
-
+  // --- Compression ablation: the legacy raw-layout replica of the
+  // pre-rework storage + CELF path on the same stream.
   uint64_t legacy_bytes = 0;
   uint64_t legacy_coverage = 0;
   double celf_trace_us = 0.0;
@@ -651,7 +635,7 @@ int Run(const Config& cfg) {
   w.Key("opim.select.warm_sync_us").Value(warm_sync_us_delta);
   w.EndObject();
   w.EndObject();
-  // Storage + kernel ablation: peak_rr_bytes is MemoryUsage() — what the
+  // Storage ablation: peak_rr_bytes is MemoryUsage() — what the
   // PR 4 memory budget meters — against the exact byte layout the
   // pre-compression storage would hold for the identical stream.
   w.Key("compression").BeginObject();
@@ -662,9 +646,6 @@ int Run(const Config& cfg) {
              static_cast<double>(rr.MemoryUsage()));
   w.Key("compressed_member_bytes").Value(rr.CompressedMemberBytes());
   w.Key("raw_member_bytes").Value(rr.RawMemberBytes());
-  w.Key("simd_kernel").Value(ActiveCoverageKernelName());
-  w.Key("select_celf_scalar").Value(celf_scalar_us);
-  w.Key("select_celf_trace_scalar").Value(celf_trace_scalar_us);
   w.Key("select_celf_trace_legacy_ref").Value(legacy_celf_trace_us);
   w.EndObject();
   // The telemetry the acceptance criteria reference: per-phase counters

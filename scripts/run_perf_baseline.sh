@@ -4,7 +4,7 @@
 # the end-to-end generate+ingest path), bench_generate (the sampling
 # kernel itself plus ParallelGenerate at 1 and N threads, IC and LT under
 # weighted-cascade weights), and bench_load (text parsing vs the
-# memory-mapped .opimg container, plus the out-of-core spill smoke),
+# memory-mapped .opimg container),
 # recording each run under its label in BENCH_select_ingest.json,
 # BENCH_generate.json, and BENCH_load.json.
 #
@@ -129,8 +129,7 @@ jq 'if ([.runs[].label] | contains(["before", "after"])) then
               / $c.compression.peak_rr_bytes) * 100 | round / 100),
           celf_trace_speedup_vs_legacy_ref:
             (($c.compression.select_celf_trace_legacy_ref
-              / $c.timings_us.select_celf_trace) * 100 | round / 100),
-          simd_kernel: $c.compression.simd_kernel
+              / $c.timings_us.select_celf_trace) * 100 | round / 100)
         }
       else . end' "$JSON.tmp" > "$JSON"
 rm -f "$JSON.tmp"

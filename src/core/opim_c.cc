@@ -189,46 +189,6 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
                     << start_iter << " (theta1=" << r1.num_sets()
                     << ", batch_counter=" << batch_counter << ")";
   }
-  if (!options.spill_dir.empty()) {
-    for (RRCollection* rr : {&r1, &r2}) {
-      const Status armed = rr->EnableSpill({.dir = options.spill_dir});
-      if (!armed.ok()) {
-        // Fully-resident is always a valid state: the run proceeds and a
-        // memory budget (if armed) stops it the classic way instead.
-        OPIM_LOG(kWarn) << "opim-c: spill tier unavailable: "
-                        << armed.ToString();
-        break;
-      }
-    }
-  }
-  // Out-of-core policy, checked at iteration boundaries where the exact
-  // footprint is known: once the pools cross half of an armed memory
-  // budget, write cold compressed chunks to the spill file until each
-  // pool keeps at most a quarter of its member bytes resident. The
-  // target scales with the pool — not the budget — so eviction bites
-  // even when the unspillable index dominates the footprint, and the
-  // sticky target keeps CELF's fault-ins from re-accumulating the whole
-  // pool. CELF's recount phase faults chunks back in on demand, so the
-  // seed stream is untouched. A spill I/O failure trips the control
-  // with the distinct kSpillFailure reason; the run then degrades
-  // exactly like a memory-budget stop.
-  auto maybe_spill = [&] {
-    if (control == nullptr || control->Stopped()) return;
-    const uint64_t budget = control->memory_budget_bytes();
-    if (budget == 0) return;
-    if (r1.MemoryUsage() + r2.MemoryUsage() <= budget / 2) return;
-    for (RRCollection* rr : {&r1, &r2}) {
-      if (!rr->spill_enabled()) continue;
-      const Result<uint64_t> spilled =
-          rr->SpillColdChunks(rr->CompressedMemberBytes() / 4);
-      if (!spilled.ok()) {
-        OPIM_LOG(kError) << "opim-c: spill failed: "
-                         << spilled.status().ToString();
-        control->TripSpillFailure();
-        return;
-      }
-    }
-  };
   if (options.resume == nullptr) {
     generate(&r1, theta0, control);
     generate(&r2, theta0, control);
@@ -339,9 +299,6 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         i != resumed_from && !(control != nullptr && control->Stopped())) {
       write_checkpoint(i, /*clean=*/true);
     }
-    // Footprint peaks right after a doubling lands — shed cold chunks
-    // before CELF touches the pools, not after.
-    maybe_spill();
     Stopwatch phase_watch;
 
     // Pipelined schedule: CELF parallelizes its initial marginal-gain pass
@@ -484,8 +441,8 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
       // boundary poll itself leaves clean iteration-boundary state; one
       // carried out of the preceding generation may leave a partial
       // doubling (still resumable and deterministic, flagged
-      // clean_boundary=0). Worker/spill failures are not checkpointed —
-      // their pool state reflects the failure being reported.
+      // clean_boundary=0). Worker failures are not checkpointed — their
+      // pool state reflects the failure being reported.
       if (checkpointing && stopped) {
         const StopReason why = control->reason();
         if (why == StopReason::kDeadline || why == StopReason::kMemoryBudget ||
@@ -538,13 +495,6 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
   result.rr_compressed_bytes =
       r1.CompressedMemberBytes() + r2.CompressedMemberBytes();
   result.rr_raw_member_bytes = r1.RawMemberBytes() + r2.RawMemberBytes();
-  const RRSpillStats spill1 = r1.SpillStats();
-  const RRSpillStats spill2 = r2.SpillStats();
-  result.spill_chunks_spilled =
-      spill1.chunks_spilled + spill2.chunks_spilled;
-  result.spill_chunks_faulted =
-      spill1.chunks_faulted + spill2.chunks_faulted;
-  result.spilled_bytes = r1.SpilledBytes() + r2.SpilledBytes();
   if (control != nullptr) {
     result.guardrails = SummarizeGuardrails(*control);
     const OpimCGuardrails& gr = result.guardrails;
@@ -570,9 +520,6 @@ OpimCResult RunOpimC(const Graph& g, DiffusionModel model, uint32_t k,
         break;
       case StopReason::kWorkerFailure:
         OPIM_TM_COUNTER_ADD("opim.runctl.stop.worker_failure", 1);
-        break;
-      case StopReason::kSpillFailure:
-        OPIM_TM_COUNTER_ADD("opim.runctl.stop.spill_failure", 1);
         break;
     }
   }

@@ -50,18 +50,6 @@ struct OpimCOptions {
   /// switches the objective to the weighted spread σ_w (see IcRRSampler).
   /// The guarantee becomes (1 - 1/e - ε) w.r.t. the weighted optimum.
   std::vector<double> node_weights;
-  /// Directory for the out-of-core RR spill tier (empty = spilling off).
-  /// When set, both pools arm an unlinked spill file there; once the
-  /// exact iteration-boundary footprint crosses half of an armed
-  /// RunControl memory budget, cold compressed chunks are written out
-  /// until each pool keeps at most a quarter of its member bytes
-  /// resident (a sticky target that later fault-ins respect), and the
-  /// run continues instead of stopping. CELF recounts fault spilled chunks
-  /// back in on demand, so seed sets and α are bit-identical to the
-  /// fully-resident run. A spill I/O failure trips the control with the
-  /// distinct StopReason::kSpillFailure and degrades like a
-  /// memory-budget stop. Ignored without a control or budget.
-  std::string spill_dir;
   /// Optional run guardrails (deadline / memory budget / cancellation),
   /// non-owning; must outlive the call. When the control trips, the run
   /// exits at the next safe point, finishes the judge-pool bound
@@ -189,14 +177,6 @@ struct OpimCResult {
   /// opim.rrset.speculative_sets_used / _discarded.
   uint64_t speculative_sets_used = 0;
   uint64_t speculative_sets_discarded = 0;
-  /// Out-of-core spill accounting across both pools (all zero when
-  /// OpimCOptions::spill_dir was empty or the tier never engaged):
-  /// chunks written to the spill file, chunks faulted back for CELF
-  /// recounts, and compressed bytes still on disk (not resident) at
-  /// exit. Mirror the telemetry counters opim.rrset.spill_chunks_*.
-  uint64_t spill_chunks_spilled = 0;
-  uint64_t spill_chunks_faulted = 0;
-  uint64_t spilled_bytes = 0;
   /// Checkpoint/resume accounting (all zero for fresh, uncheckpointed
   /// runs): the iteration a resumed run re-entered at (0 = fresh), and
   /// the snapshots written / bytes / wall seconds this run spent

@@ -87,7 +87,7 @@ size_t ProgressHeartbeat::FormatLine(char* buf, size_t buf_size) const {
   }
   // Process residency next to the pool accounting: rss is the kernel's
   // view, and the major-fault delta exposes disk traffic (cold mmap
-  // loads, spill fault-ins) the byte counters can't see.
+  // loads) the byte counters can't see.
   const ResourceUsage ru = ReadResourceUsage();
   append(" rss_mb=%.1f maj_flt=%llu min_flt=%llu",
          static_cast<double>(ru.peak_rss_bytes) / (1024.0 * 1024.0),

@@ -7,9 +7,9 @@
 // the bound RunControl has a deadline — the remaining slack, and the
 // process's peak resident set plus major/minor page-fault counters
 // (support/resource_usage.h), which surface the disk traffic of cold
-// .opimg loads and RR spill fault-ins. Once a guardrail trips, the line is
-// suffixed with the stop reason so an operator watching a ^C'd run sees
-// the engine draining to its pause point.
+// .opimg loads. Once a guardrail trips, the line is suffixed with the
+// stop reason so an operator watching a ^C'd run sees the engine
+// draining to its pause point.
 //
 // Output goes through snprintf into a stack buffer followed by one
 // write(2) — the async-signal-safe output primitive — so heartbeat lines

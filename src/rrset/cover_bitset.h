@@ -4,11 +4,7 @@
 // A node's postings are runs of ascending RR ids (see rr_collection.h).
 // The kernels below answer "how many of these RR sets are still
 // uncovered" and "mark these covered, reporting the fresh ones" against
-// the bitset. The counting kernel has a portable scalar implementation
-// and an AVX2 one (cover_kernels_avx2.cc, compiled only under the
-// OPIM_SIMD CMake gate on x86-64); dispatch is resolved at runtime from
-// cpuid and can be forced per process with SetCoverageSimdMode, which is
-// how the differential tests pin the two paths bit-identical.
+// the bitset.
 
 #pragma once
 
@@ -79,25 +75,15 @@ class CoverBitset {
   uint64_t num_bits_ = 0;
 };
 
-/// Coverage-kernel selection. kAuto resolves from cpuid at first use;
-/// kScalar/kAvx2 force a path (kAvx2 silently degrades to scalar when the
-/// binary or CPU lacks AVX2 — check CoverageSimdAvailable()).
-enum class SimdMode { kAuto, kScalar, kAvx2 };
-
-/// Process-wide override, primarily for differential tests.
-void SetCoverageSimdMode(SimdMode mode);
-
-/// True iff the AVX2 path is compiled in and this CPU supports it.
-bool CoverageSimdAvailable();
-
-/// The resolved mode (never kAuto).
-SimdMode EffectiveCoverageSimd();
-
-/// "avx2" or "scalar" — what the counting kernels will actually run.
-const char* ActiveCoverageKernelName();
-
 /// Number of `ids` whose bit is clear in `words` (raw postings).
-uint64_t CountUncoveredIds(std::span<const RRId> ids, const uint64_t* words);
+inline uint64_t CountUncoveredIds(std::span<const RRId> ids,
+                                  const uint64_t* words) {
+  uint64_t uncovered = 0;
+  for (RRId id : ids) {
+    uncovered += ((words[id >> 6] >> (id & 63)) & 1u) ^ 1u;
+  }
+  return uncovered;
+}
 
 /// Marks every id covered and calls `fn(RRId)` for each id that was not
 /// already covered, in ascending order.

@@ -1,19 +1,10 @@
 #include "rrset/rr_collection.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "support/fault_inject.h"
-#include "support/io_util.h"
 #include "support/thread_pool.h"
 
 namespace opim {
@@ -160,17 +151,12 @@ RRCollection::RRCollection(uint32_t num_nodes, RRStoreOptions options)
   OPIM_CHECK_LT(num_nodes, kSlotInlineTag);
 }
 
-RRCollection::~RRCollection() = default;
-RRCollection::RRCollection(RRCollection&&) noexcept = default;
-RRCollection& RRCollection::operator=(RRCollection&&) noexcept = default;
-
 void RRCollection::AppendRunToOpenChunk(const uint8_t* src, uint64_t len) {
   PoolChunk& c = chunks_.back();
   c.bytes.resize(c.encoded_bytes);  // strip the decode slack
   c.bytes.insert(c.bytes.end(), src, src + len);
   c.encoded_bytes += len;
   c.bytes.resize(c.encoded_bytes + kVarintDecodeSlackBytes, 0);
-  c.data = c.bytes.data();
   pool_bytes_ += len;
 }
 
@@ -191,7 +177,6 @@ void RRCollection::AppendEncodedSet(std::vector<NodeId>* nodes) {
     const uint64_t len = EncodeRRMembers(*nodes, &c.bytes);
     c.encoded_bytes += len;
     c.bytes.resize(c.encoded_bytes + kVarintDecodeSlackBytes, 0);
-    c.data = c.bytes.data();
     pool_bytes_ += len;
   }
   ++num_sets_;
@@ -384,171 +369,6 @@ void RRCollection::FoldPendingSets() const {
   }
 }
 
-/// Spill-file bookkeeping behind unique_ptr so the collection stays
-/// movable; the mutex guards the file cursor and chunk transitions
-/// (belt and suspenders — decode-side faulting is single-threaded by
-/// contract, but SpillColdChunks may be called while no reads run).
-struct RRCollection::SpillState {
-  int fd = -1;
-  std::mutex mu;
-  uint64_t append_cursor = 0;  // next free byte of the spill file
-  uint64_t lru_clock = 0;      // advanced on every decode / fault-in
-  uint64_t resident_target = ~uint64_t{0};  // sticky; set by SpillColdChunks
-  RRSpillStats stats;
-
-  ~SpillState() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-Status RRCollection::EnableSpill(const RRSpillOptions& options) {
-  if (spill_ != nullptr) return Status::OK();
-  // Create-and-unlink: the spill file has no name from here on, so it
-  // disappears with the process no matter how the run exits.
-  std::string tmpl = options.dir + "/opim_rr_spill_XXXXXX";
-  std::vector<char> path(tmpl.begin(), tmpl.end());
-  path.push_back('\0');
-  const int fd = ::mkstemp(path.data());
-  if (fd < 0) {
-    return Status::IOError("cannot create RR spill file in " + options.dir +
-                           ": " + std::strerror(errno));
-  }
-  ::unlink(path.data());
-  auto state = std::make_unique<SpillState>();
-  state->fd = fd;
-  spill_ = std::move(state);
-  return Status::OK();
-}
-
-Result<uint64_t> RRCollection::SpillColdChunks(
-    uint64_t target_resident_bytes) {
-  if (spill_ == nullptr) {
-    return Status::FailedPrecondition(
-        "SpillColdChunks before EnableSpill");
-  }
-  std::lock_guard<std::mutex> lock(spill_->mu);
-  spill_->resident_target = target_resident_bytes;
-  if (chunks_.size() <= 1) return uint64_t{0};  // nothing sealed yet
-
-  uint64_t resident = 0;
-  for (const PoolChunk& c : chunks_) resident += c.bytes.capacity();
-  // Coldest first: chunks never decoded since the last fault carry the
-  // oldest stamps, ties broken by chunk index (oldest sets first).
-  std::vector<uint32_t> sealed;
-  for (uint32_t i = 0; i + 1 < chunks_.size(); ++i) {
-    if (chunks_[i].data != nullptr && chunks_[i].encoded_bytes > 0) {
-      sealed.push_back(i);
-    }
-  }
-  std::sort(sealed.begin(), sealed.end(), [this](uint32_t a, uint32_t b) {
-    return chunks_[a].lru_stamp != chunks_[b].lru_stamp
-               ? chunks_[a].lru_stamp < chunks_[b].lru_stamp
-               : a < b;
-  });
-
-  uint64_t evicted = 0;
-  for (uint32_t i : sealed) {
-    if (resident <= target_resident_bytes) break;
-    PoolChunk& c = chunks_[i];
-    if (c.spill_offset == PoolChunk::kNotSpilled) {
-      // First eviction pays the write; nothing is mutated until it
-      // lands, so a failure leaves the collection fully usable and the
-      // caller can degrade to the stop-at-budget path.
-      if (OPIM_FAULT_POINT("io.short_write")) {
-        return Status::IOError("injected short write on RR spill file");
-      }
-      const uint64_t off = spill_->append_cursor;
-      if (Status w = io::PWriteFull(spill_->fd, c.bytes.data(),
-                                    c.encoded_bytes, static_cast<off_t>(off));
-          !w.ok()) {
-        return Status::IOError("RR spill file: " + w.message());
-      }
-      c.spill_offset = off;
-      spill_->append_cursor = off + c.encoded_bytes;
-    }
-    resident -= c.bytes.capacity();
-    // swap with a temporary: `bytes = {}` would keep the capacity.
-    std::vector<uint8_t>().swap(c.bytes);
-    c.data = nullptr;
-    ++evicted;
-    ++spill_->stats.chunks_spilled;
-  }
-  OPIM_TM_COUNTER_ADD("opim.rrset.spill_chunks_spilled", evicted);
-  OPIM_TM_GAUGE_SET("opim.rrset.spilled_bytes", SpilledBytes());
-  return evicted;
-}
-
-const uint8_t* RRCollection::SpillAwareChunkData(uint32_t chunk) const {
-  PoolChunk& c = chunks_[chunk];
-  if (c.data == nullptr) FaultChunk(chunk);
-  c.lru_stamp = ++spill_->lru_clock;
-  return c.data;
-}
-
-void RRCollection::FaultChunk(uint32_t chunk) const {
-  OPIM_CHECK_MSG(spill_ != nullptr,
-                 "decode of an evicted chunk without spill state");
-  std::lock_guard<std::mutex> lock(spill_->mu);
-  PoolChunk& c = chunks_[chunk];
-  if (c.data != nullptr) return;
-  OPIM_CHECK_MSG(c.spill_offset != PoolChunk::kNotSpilled,
-                 "evicted chunk has no spill offset");
-  c.bytes.assign(c.encoded_bytes + kVarintDecodeSlackBytes, 0);
-  // The file is unlinked and fully written; a read failure here is an
-  // invariant break, not an expected runtime outcome.
-  const Status read = io::PReadFull(spill_->fd, c.bytes.data(),
-                                    c.encoded_bytes,
-                                    static_cast<off_t>(c.spill_offset));
-  OPIM_CHECK_MSG(read.ok(), "RR spill file read failed");
-  c.data = c.bytes.data();
-  ++spill_->stats.chunks_faulted;
-  OPIM_TM_COUNTER_ADD("opim.rrset.spill_chunks_faulted", 1);
-
-  // Keep residency at the sticky target: drop the coldest chunks that
-  // are already on disk (re-eviction is free — no writes from the
-  // decode path). The faulted chunk and the open chunk stay.
-  uint64_t resident = 0;
-  for (const PoolChunk& pc : chunks_) resident += pc.bytes.capacity();
-  if (resident <= spill_->resident_target) return;
-  std::vector<uint32_t> cand;
-  for (uint32_t i = 0; i + 1 < chunks_.size(); ++i) {
-    if (i == chunk) continue;
-    if (chunks_[i].data != nullptr &&
-        chunks_[i].spill_offset != PoolChunk::kNotSpilled) {
-      cand.push_back(i);
-    }
-  }
-  std::sort(cand.begin(), cand.end(), [this](uint32_t a, uint32_t b) {
-    return chunks_[a].lru_stamp != chunks_[b].lru_stamp
-               ? chunks_[a].lru_stamp < chunks_[b].lru_stamp
-               : a < b;
-  });
-  uint64_t evicted = 0;
-  for (uint32_t i : cand) {
-    if (resident <= spill_->resident_target) break;
-    resident -= chunks_[i].bytes.capacity();
-    std::vector<uint8_t>().swap(chunks_[i].bytes);
-    chunks_[i].data = nullptr;
-    ++evicted;
-    ++spill_->stats.chunks_spilled;
-  }
-  OPIM_TM_COUNTER_ADD("opim.rrset.spill_chunks_spilled", evicted);
-}
-
-uint64_t RRCollection::SpilledBytes() const {
-  uint64_t bytes = 0;
-  for (const PoolChunk& c : chunks_) {
-    if (c.data == nullptr && c.spill_offset != PoolChunk::kNotSpilled) {
-      bytes += c.encoded_bytes;
-    }
-  }
-  return bytes;
-}
-
-RRSpillStats RRCollection::SpillStats() const {
-  return spill_ != nullptr ? spill_->stats : RRSpillStats{};
-}
-
 std::vector<NodeId> RRCollection::DecodeSet(RRId id) const {
   std::vector<NodeId> out;
   out.reserve(SetSize(id));
@@ -583,12 +403,7 @@ std::span<const uint8_t> RRCollection::ChunkRun(uint32_t chunk) const {
   OPIM_CHECK_LT(chunk, chunks_.size());
   const PoolChunk& c = chunks_[chunk];
   if (c.encoded_bytes == 0) return {};
-  // Faulting chunk `chunk` may evict a colder chunk past the sticky
-  // resident target — never `chunk` itself, so the span stays valid
-  // until the next decode or append.
-  const uint8_t* data =
-      spill_ != nullptr ? SpillAwareChunkData(chunk) : c.data;
-  return {data, c.encoded_bytes};
+  return {c.bytes.data(), c.encoded_bytes};
 }
 
 RRCollection RRCollection::RestoreFromSnapshotParts(
@@ -611,7 +426,6 @@ RRCollection RRCollection::RestoreFromSnapshotParts(
     if (!run.empty()) {
       run.resize(run.size() + kVarintDecodeSlackBytes, 0);
       c.bytes = std::move(run);
-      c.data = c.bytes.data();
     }
     rr.chunks_.push_back(std::move(c));
   }

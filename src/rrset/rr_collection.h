@@ -35,30 +35,20 @@
 // the engine paths (ParallelGenerate / StagedGeneration) leave the index
 // current. AddSet and RestoreFromSnapshotParts only store the sets; the
 // first index read afterwards (or EnsureIndex) decodes the pending sets
-// and folds them through the same append. That fold mutates the index,
-// so the first read after such an append must not race other readers.
-
-// Out-of-core spill tier. The pool is chunked (4096 sets per chunk);
-// each chunk's encoded bytes are an independent byte run, so a sealed
-// chunk can be written to an unlinked spill file and its heap buffer
-// freed while the run continues. EnableSpill arms the tier;
-// SpillColdChunks evicts cold sealed chunks (LRU by last decode) until
-// the resident pool fits a target, and any later decode of a spilled
-// set faults its chunk back in transparently (evicting other cold
-// chunks past the sticky resident target). Fault-in happens inside
-// SetBytes, so the CELF recount path — the only engine path that
-// decodes members after ingest — drives residency. Decode-time
-// fault-in is single-threaded-readers-only, matching the engine
-// (selection decodes are serial; parallel generation workers never read
-// the collection).
+// and folds them through the same append.
+//
+// Reader contract. Decoding members (ForEachMember, SetSize, DecodeSet,
+// ChunkRun) mutates nothing, so any number of threads may decode
+// concurrently. Only two const reads write: the pending-set fold above
+// (so the first index read after AddSet or a restore must not race other
+// readers) and CoverageOf, which reuses a scratch bitset (so CoverageOf
+// and EstimateSpread are single-threaded).
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,7 +56,6 @@
 #include "rrset/cover_bitset.h"
 #include "rrset/varint_codec.h"
 #include "support/macros.h"
-#include "support/status.h"
 
 namespace opim {
 
@@ -181,19 +170,6 @@ struct RRStoreOptions {
   bool retain_set_costs = true;
 };
 
-/// Spill-tier configuration for RRCollection::EnableSpill.
-struct RRSpillOptions {
-  /// Directory for the (immediately unlinked) spill file.
-  std::string dir = "/tmp";
-};
-
-/// Cumulative spill-tier activity counters (plain values so tests and
-/// reports read them without telemetry).
-struct RRSpillStats {
-  uint64_t chunks_spilled = 0;  // chunk evictions (heap buffer freed)
-  uint64_t chunks_faulted = 0;  // chunk fault-ins from the spill file
-};
-
 /// Append-only collection of RR sets over a graph with n nodes.
 class RRCollection {
  public:
@@ -201,11 +177,8 @@ class RRCollection {
   /// `num_nodes` must be < 2^31 (one slot bit tags inline sets).
   explicit RRCollection(uint32_t num_nodes, RRStoreOptions options = {});
 
-  // Move-only (the spill state owns a file descriptor). Out-of-line:
-  // SpillState is incomplete here.
-  ~RRCollection();
-  RRCollection(RRCollection&&) noexcept;
-  RRCollection& operator=(RRCollection&&) noexcept;
+  RRCollection(RRCollection&&) noexcept = default;
+  RRCollection& operator=(RRCollection&&) noexcept = default;
   OPIM_DISALLOW_COPY(RRCollection);
 
   /// Appends one RR set (list of distinct nodes, any order; stored
@@ -335,19 +308,17 @@ class RRCollection {
   uint64_t total_edges_examined() const { return total_edges_examined_; }
 
   /// Heap footprint of this collection in bytes (capacity-based, so it
-  /// reflects what the allocator actually holds): the *resident* part of
-  /// the compressed member pool (spilled chunks cost nothing), slots +
-  /// chunk records, optional per-set costs, the inverted index (arena,
-  /// per-node chains and counts), and the coverage scratch bitset. This
-  /// is the quantity RunControl's memory budget is checked against —
-  /// which is exactly why spilling cold chunks lets a budgeted run
-  /// continue.
+  /// reflects what the allocator actually holds): the compressed member
+  /// pool, slots + chunk records, optional per-set costs, the inverted
+  /// index (arena, per-node chains and counts), and the coverage scratch
+  /// bitset. This is the quantity RunControl's memory budget is checked
+  /// against.
   uint64_t MemoryUsage() const {
-    uint64_t resident_pool = 0;
+    uint64_t pool = 0;
     for (const PoolChunk& c : chunks_) {
-      resident_pool += c.bytes.capacity() * sizeof(uint8_t);
+      pool += c.bytes.capacity() * sizeof(uint8_t);
     }
-    return resident_pool + chunks_.capacity() * sizeof(PoolChunk) +
+    return pool + chunks_.capacity() * sizeof(PoolChunk) +
            slot_.capacity() * sizeof(uint32_t) +
            set_cost_.capacity() * sizeof(uint64_t) +
            post_arena_.capacity() * sizeof(RRId) +
@@ -357,37 +328,8 @@ class RRCollection {
            cover_scratch_.MemoryUsage();
   }
 
-  /// Bytes of the compressed member pool, resident or spilled
-  /// (inline-tagged sets cost zero).
+  /// Bytes of the compressed member pool (inline-tagged sets cost zero).
   uint64_t CompressedMemberBytes() const { return pool_bytes_; }
-
-  // --- Out-of-core spill tier -------------------------------------------
-
-  /// Arms the spill tier: creates (and immediately unlinks) a spill file
-  /// in `options.dir`, so the file vanishes with the process no matter
-  /// how the run ends. Idempotent; fails with IOError when the directory
-  /// refuses a temp file. Decode-time fault-in makes the collection
-  /// single-threaded-readers-only afterwards (see file comment).
-  Status EnableSpill(const RRSpillOptions& options);
-
-  /// True once EnableSpill succeeded.
-  bool spill_enabled() const { return spill_ != nullptr; }
-
-  /// Evicts cold sealed chunks — least recently decoded first — until
-  /// the resident pool fits `target_resident_bytes` (or nothing sealed
-  /// is left to evict). The target is sticky: later fault-ins evict
-  /// other cold chunks past it. First eviction of a chunk writes its
-  /// bytes to the spill file (site io.short_write); re-evictions are
-  /// free. On write failure the collection is untouched and fully
-  /// usable — the caller degrades to the stop-at-budget path. Returns
-  /// the number of chunks evicted.
-  Result<uint64_t> SpillColdChunks(uint64_t target_resident_bytes);
-
-  /// Encoded bytes currently on the spill file only (not resident).
-  uint64_t SpilledBytes() const;
-
-  /// Cumulative spill/fault counters (zeros before EnableSpill).
-  RRSpillStats SpillStats() const;
 
   /// What the member lists would occupy raw, Σ_R |R| * sizeof(NodeId) —
   /// the PR-4-era storage; CompressedMemberBytes()/RawMemberBytes() is
@@ -429,9 +371,8 @@ class RRCollection {
     return static_cast<uint32_t>(chunks_.size());
   }
 
-  /// Encoded byte run of chunk `chunk` (no decode slack), faulting it in
-  /// from the spill file first when evicted. Empty when every set in the
-  /// chunk is stored inline.
+  /// Encoded byte run of chunk `chunk` (no decode slack). Empty when
+  /// every set in the chunk is stored inline.
   std::span<const uint8_t> ChunkRun(uint32_t chunk) const;
 
   /// Per-set slot words (inline tag or chunk-relative byte offset).
@@ -452,7 +393,7 @@ class RRCollection {
   /// loader) has already validated structure — offsets, encodings, and
   /// member totals — so violations here are programmer errors
   /// (OPIM_CHECK). The restored collection is byte-identical to the
-  /// saved one: further appends, spills, and index reads behave as if
+  /// saved one: further appends and index reads behave as if
   /// the sets had been added directly.
   static RRCollection RestoreFromSnapshotParts(
       uint32_t num_nodes, RRStoreOptions options,
@@ -465,39 +406,19 @@ class RRCollection {
   static constexpr uint32_t kSlotInlineTag = rrslot::kInlineTag;
   static constexpr uint32_t kEmptySlot = rrslot::kEmpty;
   /// Sets per pool chunk; a slot offset is relative to its chunk's byte
-  /// run so 31 bits suffice no matter how large the pool grows — and a
-  /// chunk's run is independently spillable.
+  /// run so 31 bits suffice no matter how large the pool grows.
   static constexpr uint32_t kChunkShift = 12;
 
-  /// One pool chunk: the group-varint byte run of its non-inline sets.
-  /// Resident chunks keep the run (plus decode slack) in `bytes` with
-  /// `data` caching bytes.data(); spilled chunks have an empty vector,
-  /// null `data`, and their run at `spill_offset` in the spill file.
+  /// One pool chunk: the group-varint byte run of its non-inline sets,
+  /// followed by kVarintDecodeSlackBytes zero bytes.
   struct PoolChunk {
-    static constexpr uint64_t kNotSpilled = ~uint64_t{0};
-
     std::vector<uint8_t> bytes;
-    uint64_t encoded_bytes = 0;      // run length sans decode slack
-    uint64_t spill_offset = kNotSpilled;
-    const uint8_t* data = nullptr;   // bytes.data(), null when spilled
-    uint64_t lru_stamp = 0;          // last decode (spill enabled only)
+    uint64_t encoded_bytes = 0;  // run length sans decode slack
   };
 
-  struct SpillState;
-
   const uint8_t* SetBytes(RRId id, uint32_t slot) const {
-    const PoolChunk& c = chunks_[id >> kChunkShift];
-    if (spill_ != nullptr) return SpillAwareChunkData(id >> kChunkShift) + slot;
-    return c.data + slot;
+    return chunks_[id >> kChunkShift].bytes.data() + slot;
   }
-
-  /// Returns chunk `chunk`'s resident run, faulting it in from the spill
-  /// file first when evicted, and stamps its LRU recency.
-  const uint8_t* SpillAwareChunkData(uint32_t chunk) const;
-
-  /// Reloads an evicted chunk and evicts other cold on-disk chunks past
-  /// the sticky resident target. Requires spill enabled.
-  void FaultChunk(uint32_t chunk) const;
 
   /// Sorts (and de-dups) `*nodes` in place, then appends the slot /
   /// encoded bytes for one set. Shared by AddSet and batch assembly.
@@ -531,14 +452,10 @@ class RRCollection {
   uint32_t num_nodes_ = 0;
   uint32_t num_sets_ = 0;
   bool retain_costs_ = true;
-  // Chunked compressed pool; each resident chunk's run ends with
-  // kVarintDecodeSlackBytes zero bytes. Mutable: decodes fault spilled
-  // chunks back in and stamp recency.
-  mutable std::vector<PoolChunk> chunks_;
-  uint64_t pool_bytes_ = 0;          // Σ encoded_bytes, resident or not
+  std::vector<PoolChunk> chunks_;    // chunked compressed pool
+  uint64_t pool_bytes_ = 0;          // Σ encoded_bytes
   std::vector<uint32_t> slot_;       // per set: inline tag or chunk offset
   std::vector<uint64_t> set_cost_;   // per-set cost iff retain_costs_
-  std::unique_ptr<SpillState> spill_;  // armed by EnableSpill
   std::vector<NodeId> addset_scratch_;  // AddSet sort buffer (reused)
   uint64_t total_members_ = 0;
   uint64_t total_edges_examined_ = 0;

@@ -85,8 +85,6 @@ void AppendPool(std::vector<uint8_t>* out, const RRCollection& rr) {
   const std::span<const uint64_t> costs = rr.set_costs();
   AppendBytes(out, costs.data(), costs.size_bytes());
   for (uint32_t c = 0; c < h.num_chunks; ++c) {
-    // Copy immediately: with the spill tier armed, faulting chunk c+1
-    // in may evict chunk c's buffer.
     const std::span<const uint8_t> run = rr.ChunkRun(c);
     AppendPod(out, static_cast<uint64_t>(run.size()));
     AppendBytes(out, run.data(), run.size());

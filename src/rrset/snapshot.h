@@ -99,8 +99,7 @@ struct RRPoolSnapshot {
 
 /// Serializes `run` + both pools and atomically publishes the container
 /// at `path` (write-to-temp + fsync + rename; on failure any previous
-/// file at `path` is untouched). Spilled chunks are faulted in for the
-/// write. Returns the container size in bytes.
+/// file at `path` is untouched). Returns the container size in bytes.
 Result<uint64_t> SaveSnapshot(const SnapshotRunState& run,
                               const RRCollection& r1, const RRCollection& r2,
                               const std::string& path);

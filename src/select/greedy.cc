@@ -98,8 +98,6 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   OPIM_TR_SPAN2("celf", "select", "theta", collection.num_sets(), "k", k);
   OPIM_TM_SCOPED_TIMER("opim.select.celf_us");
   OPIM_TM_COUNTER_ADD("opim.select.celf_runs", 1);
-  OPIM_TM_GAUGE_SET("opim.select.simd_dispatch",
-                    EffectiveCoverageSimd() == SimdMode::kAvx2 ? 2 : 1);
   const uint32_t n = collection.num_nodes();
   const uint32_t theta = collection.num_sets();
   k = std::min(k, n);
@@ -152,7 +150,7 @@ GreedyResult SelectGreedyCelf(const RRCollection& collection, uint32_t k,
   if (!with_trace) {
     // Classic CELF: no marginal bookkeeping at all — a stale entry's gain
     // is recomputed on demand by testing the node's postings against the
-    // covered bitset (AVX2 gathers when dispatched).
+    // covered bitset.
     // O(n) heap build (make_heap via the container ctor) instead of n
     // pushes; pop order — and therefore the seed set — only depends on
     // the comparator, not the heap's internal layout.

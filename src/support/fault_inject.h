@@ -37,10 +37,6 @@
 //                        fails the map with IOError before the file is
 //                        opened (exercises the .opimg heap-read fallback
 //                        and SamplingView's stay-on-heap path).
-//   io.short_write       evaluated once per RRCollection::SpillColdChunks
-//                        eviction pass, before any chunk is written;
-//                        firing fails the spill with IOError and no state
-//                        change (the engine trips kSpillFailure).
 //   snapshot.short_write evaluated once per atomic-file write
 //                        (support/atomic_file.h), before any byte reaches
 //                        the temp file; firing fails the snapshot write

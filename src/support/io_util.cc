@@ -30,8 +30,8 @@ Status ErrnoError(const char* op, int err) {
   return Status::IOError(std::string(op) + " failed: " + ::strerror(err));
 }
 
-// One loop services all four entry points: `xfer` performs a single
-// (p)read/(p)write attempt and returns its ssize_t result.
+// One loop services both entry points: `xfer` performs a single
+// read/write attempt and returns its ssize_t result.
 template <typename Xfer>
 Status TransferFull(const char* op, size_t len, bool reads, Xfer&& xfer) {
   size_t done = 0;
@@ -77,20 +77,6 @@ Status ReadFull(int fd, void* data, size_t len) {
   uint8_t* p = static_cast<uint8_t*>(data);
   return TransferFull("read", len, /*reads=*/true,
                       [&](size_t off, size_t n) { return ::read(fd, p + off, n); });
-}
-
-Status PWriteFull(int fd, const void* data, size_t len, off_t offset) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  return TransferFull("pwrite", len, /*reads=*/false, [&](size_t off, size_t n) {
-    return ::pwrite(fd, p + off, n, offset + static_cast<off_t>(off));
-  });
-}
-
-Status PReadFull(int fd, void* data, size_t len, off_t offset) {
-  uint8_t* p = static_cast<uint8_t*>(data);
-  return TransferFull("pread", len, /*reads=*/true, [&](size_t off, size_t n) {
-    return ::pread(fd, p + off, n, offset + static_cast<off_t>(off));
-  });
 }
 
 }  // namespace opim::io

@@ -1,11 +1,11 @@
 // Retrying full-buffer I/O over POSIX file descriptors.
 //
-// write(2)/read(2)/pwrite(2)/pread(2) are allowed to transfer fewer
-// bytes than asked, to be interrupted by a signal (EINTR), or — on
-// descriptors someone marked non-blocking — to fail transiently with
-// EAGAIN. Every durable path in the repo (the RR-pool spill tier, the
-// snapshot writer) must treat a partial transfer as "keep going", not
-// as corruption, so the loop lives here once:
+// write(2)/read(2) are allowed to transfer fewer bytes than asked, to be
+// interrupted by a signal (EINTR), or — on descriptors someone marked
+// non-blocking — to fail transiently with EAGAIN. Every durable path in
+// the repo (the atomic-file writer behind snapshots) must treat a
+// partial transfer as "keep going", not as corruption, so the loop lives
+// here once:
 //
 //   - EINTR retries immediately (conventional; a signal arriving
 //     mid-write is not a fault).
@@ -20,8 +20,6 @@
 // Status; there is no partial-success return.
 
 #pragma once
-
-#include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -41,10 +39,5 @@ Status WriteFull(int fd, const void* data, size_t len);
 /// before `len` bytes is an IOError (the caller asked for bytes the
 /// file does not have).
 Status ReadFull(int fd, void* data, size_t len);
-
-/// Positional variants (pwrite(2)/pread(2)); the descriptor's own
-/// offset is untouched, so concurrent users of one spill fd are safe.
-Status PWriteFull(int fd, const void* data, size_t len, off_t offset);
-Status PReadFull(int fd, void* data, size_t len, off_t offset);
 
 }  // namespace opim::io

@@ -1,9 +1,9 @@
 // Process resource-usage snapshots for reports and the progress
 // heartbeat: peak RSS plus major/minor page-fault counters. Page
 // faults are the observable cost of the storage tier — a mapped
-// `.opimg` load shifts work from parse time to (minor) faults, and
-// spill-tier chunk fault-ins show up as reads plus faults — so runs
-// record them alongside wall-clock timings.
+// `.opimg` load shifts work from parse time to (minor) faults, and a
+// cold one shows up as major faults — so runs record them alongside
+// wall-clock timings.
 
 #pragma once
 

@@ -18,8 +18,6 @@ const char* StopReasonName(StopReason reason) {
       return "cancelled";
     case StopReason::kWorkerFailure:
       return "worker_failure";
-    case StopReason::kSpillFailure:
-      return "spill_failure";
   }
   return "unknown";
 }
@@ -36,8 +34,6 @@ int ExitCodeForStopReason(StopReason reason) {
       return 5;
     case StopReason::kWorkerFailure:
       return 6;
-    case StopReason::kSpillFailure:
-      return 7;
   }
   return 1;
 }

@@ -44,18 +44,18 @@ enum class StopReason : int {
   kMemoryBudget = 2,
   kCancelled = 3,
   kWorkerFailure = 4,
-  kSpillFailure = 5,
+  // 5 is retired (a removed reason, exit code 7); never reused.
 };
 
 /// Stable lowercase names: "converged", "deadline", "memory_budget",
-/// "cancelled", "worker_failure", "spill_failure". Used in run reports
-/// and CLI output.
+/// "cancelled", "worker_failure". Used in run reports and CLI output.
 const char* StopReasonName(StopReason reason);
 
 /// Documented CLI exit codes: converged -> 0, deadline -> 3,
-/// memory_budget -> 4, cancelled -> 5, worker_failure -> 6,
-/// spill_failure -> 7. (1 = error, 2 = usage, so degraded-but-certified
-/// exits are distinguishable from failures in scripts.)
+/// memory_budget -> 4, cancelled -> 5, worker_failure -> 6. Exit 7 is
+/// retired and never reused. (1 = error, 2 = usage, so
+/// degraded-but-certified exits are distinguishable from failures in
+/// scripts.)
 int ExitCodeForStopReason(StopReason reason);
 
 /// Shared guardrail state for one engine run. Configure before the run
@@ -96,11 +96,6 @@ class RunControl {
 
   /// Records a worker exception (called by the engine that caught it).
   void TripWorkerFailure() { Trip(StopReason::kWorkerFailure); }
-
-  /// Trips the control because the out-of-core spill tier failed (disk
-  /// full, injected short write): the run degrades exactly like a
-  /// memory-budget stop, but reports the distinct reason.
-  void TripSpillFailure() { Trip(StopReason::kSpillFailure); }
 
   // --- Polling (worker safe points) --------------------------------------
 

@@ -176,76 +176,6 @@ TEST_F(FaultInjectionTest, MmapFailFallsBackToHeapLoad) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultInjectionTest, ShortWriteFailsTheSpillWithoutStateChange) {
-  // io.short_write fires before any chunk is written: the spill call
-  // reports IOError and the collection stays fully usable.
-  RRCollection rr(1000, RRStoreOptions{.retain_set_costs = false});
-  Rng rng(3);
-  std::vector<NodeId> members;
-  for (uint32_t i = 0; i < 2 * 4096 + 10; ++i) {
-    members.clear();
-    for (uint32_t j = 0; j < 4; ++j) members.push_back(rng.NextU32() % 1000);
-    rr.AddSet(members, members.size());
-  }
-  ASSERT_TRUE(rr.EnableSpill({.dir = ::testing::TempDir()}).ok());
-  fault::Arm("io.short_write", 1);
-  auto spilled = rr.SpillColdChunks(0);
-  ASSERT_FALSE(spilled.ok());
-  EXPECT_EQ(spilled.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(rr.SpilledBytes(), 0u);
-  EXPECT_EQ(rr.SpillStats().chunks_spilled, 0u);
-  // The pool still decodes: nothing was freed or half-written.
-  uint64_t checksum = 0;
-  for (RRId id = 0; id < rr.num_sets(); ++id) {
-    rr.ForEachMember(id, [&](NodeId v) { checksum += v; });
-  }
-  EXPECT_GT(checksum, 0u);
-  // A later spill (site spent) succeeds on the untouched state.
-  auto retry = rr.SpillColdChunks(0);
-  ASSERT_TRUE(retry.ok());
-  EXPECT_GT(retry.ValueOrDie(), 0u);
-}
-
-TEST_F(FaultInjectionTest, ShortWriteTripsSpillFailureInTheEngine) {
-  // End-to-end: a budgeted spill-tier run whose spill write fails must
-  // degrade with the distinct kSpillFailure reason — and still return a
-  // valid anytime certificate, exactly like a memory-budget stop.
-  GenOptions gopt;
-  gopt.scheme = WeightScheme::kConstant;
-  gopt.constant_p = 0.25;
-  gopt.seed = 9;
-  Graph g = GenerateBarabasiAlbert(1500, 4, false, gopt);
-  OpimCOptions o;
-  o.seed = 42;
-  o.num_threads = 1;  // serial: polls see exact, deterministic footprints
-  o.spill_dir = ::testing::TempDir();
-  // Probe run (unbudgeted): its peak iteration-boundary footprint is a
-  // binding budget under which the engine must spill sealed chunks —
-  // the spill differential test pins that this exact configuration
-  // converges once chunks hit the disk. Arming the write site instead
-  // fails that first eviction.
-  const OpimCResult probe =
-      RunOpimC(g, DiffusionModel::kIndependentCascade, 8, 0.25, 0.05, o);
-  ASSERT_FALSE(probe.trace.empty());
-  uint64_t max_footprint = 0;
-  for (const OpimCIteration& it : probe.trace) {
-    max_footprint = std::max(max_footprint, it.rr_bytes);
-  }
-  ASSERT_GT(max_footprint, 0u);
-
-  fault::Arm("io.short_write", 1);
-  RunControl control;
-  control.SetMemoryBudgetBytes(max_footprint);
-  o.control = &control;
-  OpimCResult r = RunOpimC(g, DiffusionModel::kIndependentCascade, 8, 0.25,
-                           0.05, o);
-  EXPECT_EQ(fault::Hits("io.short_write"), 1u);
-  EXPECT_EQ(r.guardrails.stop_reason, StopReason::kSpillFailure);
-  EXPECT_EQ(r.seeds.size(), 8u);
-  EXPECT_TRUE(std::isfinite(r.alpha));
-  EXPECT_GE(r.alpha, 0.0);
-}
-
 TEST_F(FaultInjectionTest, StateRebuildThrowFallsBackToColdSelection) {
   // select.state_rebuild_throw fails the persistent SelectionState's
   // cold sync (the first selection's state rebuild). The run must fall

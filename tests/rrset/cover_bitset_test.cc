@@ -1,6 +1,5 @@
-// CoverBitset semantics plus bit-identity of the scalar and AVX2 counting
-// kernel on randomized posting runs — the differential guarantee that lets
-// runtime dispatch pick either path without changing any selection result.
+// CoverBitset semantics plus the uncovered-id counting kernel, checked
+// against a brute-force oracle on randomized posting runs.
 
 #include "rrset/cover_bitset.h"
 
@@ -14,11 +13,6 @@
 
 namespace opim {
 namespace {
-
-/// Restores kAuto dispatch even when an assertion fails mid-test.
-struct SimdModeGuard {
-  ~SimdModeGuard() { SetCoverageSimdMode(SimdMode::kAuto); }
-};
 
 TEST(CoverBitsetTest, ResetClearsAndSizes) {
   CoverBitset bits;
@@ -84,8 +78,6 @@ RandomCase MakeRandomCase(Rng& rng, uint64_t num_bits) {
 }
 
 TEST(CoverKernelTest, ScalarMatchesBruteForce) {
-  SimdModeGuard guard;
-  SetCoverageSimdMode(SimdMode::kScalar);
   Rng rng(11, 0x5ca1a);
   for (int trial = 0; trial < 200; ++trial) {
     RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(2048));
@@ -94,25 +86,8 @@ TEST(CoverKernelTest, ScalarMatchesBruteForce) {
   }
 }
 
-TEST(CoverKernelTest, Avx2BitIdenticalToScalar) {
-  if (!CoverageSimdAvailable()) {
-    GTEST_SKIP() << "AVX2 kernels not compiled in or not supported";
-  }
-  SimdModeGuard guard;
-  Rng rng(13, 0xa5b2);
-  for (int trial = 0; trial < 400; ++trial) {
-    RandomCase c = MakeRandomCase(rng, 64 + rng.UniformBelow(4096));
-    SetCoverageSimdMode(SimdMode::kScalar);
-    const uint64_t ids_scalar = CountUncoveredIds(c.ids, c.bits.words());
-    SetCoverageSimdMode(SimdMode::kAvx2);
-    EXPECT_EQ(CountUncoveredIds(c.ids, c.bits.words()), ids_scalar)
-        << "trial " << trial;
-  }
-}
-
 TEST(CoverKernelTest, TailLengthsCovered) {
-  // 0..12 ids hit every remainder of the 4-wide AVX2 main loop.
-  SimdModeGuard guard;
+  // Run lengths 0..12, from the empty run through several words.
   CoverBitset bits;
   bits.Reset(256);
   for (uint64_t i = 0; i < 256; i += 3) bits.Set(i);
@@ -122,35 +97,8 @@ TEST(CoverKernelTest, TailLengthsCovered) {
     for (uint32_t i = 0; i < len; ++i) ids.push_back(i * 17 % 256);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    SetCoverageSimdMode(SimdMode::kScalar);
-    const uint64_t scalar = CountUncoveredIds(ids, bits.words());
-    EXPECT_EQ(scalar, BruteCountIds(ids, bits));
-    if (CoverageSimdAvailable()) {
-      SetCoverageSimdMode(SimdMode::kAvx2);
-      EXPECT_EQ(CountUncoveredIds(ids, bits.words()), scalar)
-          << "len " << len;
-    }
-  }
-}
-
-TEST(CoverKernelTest, DispatchReportsConsistentState) {
-  SimdModeGuard guard;
-  SetCoverageSimdMode(SimdMode::kScalar);
-  EXPECT_EQ(EffectiveCoverageSimd(), SimdMode::kScalar);
-  EXPECT_STREQ(ActiveCoverageKernelName(), "scalar");
-  SetCoverageSimdMode(SimdMode::kAuto);
-  const SimdMode eff = EffectiveCoverageSimd();
-  EXPECT_NE(eff, SimdMode::kAuto);
-  if (CoverageSimdAvailable()) {
-    EXPECT_EQ(eff, SimdMode::kAvx2);
-    EXPECT_STREQ(ActiveCoverageKernelName(), "avx2");
-  } else {
-    EXPECT_EQ(eff, SimdMode::kScalar);
-  }
-  // Forcing kAvx2 without support degrades to scalar instead of crashing.
-  SetCoverageSimdMode(SimdMode::kAvx2);
-  if (!CoverageSimdAvailable()) {
-    EXPECT_EQ(EffectiveCoverageSimd(), SimdMode::kScalar);
+    EXPECT_EQ(CountUncoveredIds(ids, bits.words()), BruteCountIds(ids, bits))
+        << "len " << len;
   }
 }
 

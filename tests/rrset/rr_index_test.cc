@@ -4,9 +4,11 @@
 // RRIndexDifferentialTest drives random interleavings of the four ways
 // sets reach a collection — AddSet, AddCompressedShards (1–8 shards,
 // empty ones, and a non-finalized shard with orphan bytes, as a worker
-// that threw leaves it), RestoreFromSnapshotParts, and spill eviction —
-// and after each step demands that every node's postings, CoveringCount,
-// MemberCounts and MemberNonzero equal what the decoded sets imply.
+// that threw leaves it), and RestoreFromSnapshotParts — and after each
+// step demands that every node's postings, CoveringCount, MemberCounts
+// and MemberNonzero equal what the decoded sets imply. It runs with
+// shards of up to 200 and up to 1500 sets; the large shards cross
+// 4096-set pool chunk boundaries, so restores rebuild multi-chunk pools.
 //
 // RRIndexChainTest walks one long chain through every block size, and
 // RRIndexDeltaTest pins the cost model: ingesting a few sets into a
@@ -121,20 +123,18 @@ RRCollection RestoreCopy(const RRCollection& rr, RRStoreOptions options) {
       rr.total_edges_examined());
 }
 
-class RRIndexDifferentialTest : public ::testing::TestWithParam<bool> {};
+/// Parameter: the exclusive bound on sets per random shard.
+class RRIndexDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(RRIndexDifferentialTest, RandomInterleavingsMatchDecodedSets) {
-  const bool spill = GetParam();
-  uint64_t evicted = 0;
+  const uint32_t max_shard_sets = GetParam();
+  uint32_t max_chunks = 0;
   for (uint64_t trial = 0; trial < 4; ++trial) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
-    Rng rng(0x1d3c5 + trial, spill ? 1 : 0);
+    Rng rng(0x1d3c5 + trial, max_shard_sets > 200 ? 1 : 0);
     const uint32_t n = 50 + rng.UniformBelow(400);
     const RRStoreOptions options{.retain_set_costs = trial % 2 == 0};
     RRCollection rr(n, options);
-    if (spill) {
-      ASSERT_TRUE(rr.EnableSpill({.dir = ::testing::TempDir()}).ok());
-    }
     std::vector<std::vector<NodeId>> truth;
 
     for (int step = 0; step < 40; ++step) {
@@ -154,7 +154,7 @@ TEST_P(RRIndexDifferentialTest, RandomInterleavingsMatchDecodedSets) {
         for (uint32_t s = 0; s < num_shards; ++s) {
           const uint32_t sets = rng.UniformBelow(4) == 0
                                     ? 0
-                                    : rng.UniformBelow(spill ? 1500 : 200);
+                                    : rng.UniformBelow(max_shard_sets);
           std::vector<std::vector<NodeId>> shard_sets;
           for (uint32_t i = 0; i < sets; ++i) {
             shard_sets.push_back(RandomSet(rng, n));
@@ -168,13 +168,6 @@ TEST_P(RRIndexDifferentialTest, RandomInterleavingsMatchDecodedSets) {
         rr.AddCompressedShards(std::move(shards));
       } else if (op == 8) {
         rr = RestoreCopy(rr, options);
-        if (spill) {
-          ASSERT_TRUE(rr.EnableSpill({.dir = ::testing::TempDir()}).ok());
-        }
-      } else if (spill) {
-        const Result<uint64_t> spilled = rr.SpillColdChunks(0);
-        ASSERT_TRUE(spilled.ok());
-        evicted += spilled.ValueOrDie();
       }
       // Reading folds pending sets, so only check after some steps: the
       // others leave AddSet appends pending into the next ingest.
@@ -184,13 +177,15 @@ TEST_P(RRIndexDifferentialTest, RandomInterleavingsMatchDecodedSets) {
       }
     }
     ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesDecodedSets(rr, truth));
+    max_chunks = std::max(max_chunks, rr.num_pool_chunks());
   }
-  // The spill runs really evicted chunks, so decodes faulted them in.
-  EXPECT_EQ(evicted > 0, spill);
+  // The pools really crossed chunk boundaries.
+  EXPECT_GT(max_chunks, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(SpillOffOn, RRIndexDifferentialTest,
-                         ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(MaxShardSets, RRIndexDifferentialTest,
+                         ::testing::Values(200u, 1500u),
+                         ::testing::PrintToStringParamName());
 
 TEST(RRIndexChainTest, LongChainsKeepAscendingRuns) {
   // A node in every set walks its chain through every block size class;

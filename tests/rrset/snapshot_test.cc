@@ -162,24 +162,6 @@ TEST(SnapshotTest, EmptyPoolsRoundTrip) {
   EXPECT_EQ(loaded.ValueOrDie().r2.num_sets(), 0u);
 }
 
-TEST(SnapshotTest, SpilledPoolSerializesIdentically) {
-  // A pool with chunks evicted to the spill tier must produce the same
-  // container as its fully-resident twin (ChunkRun faults them in).
-  const std::string resident_path = TempPath("resident.opimss");
-  const std::string spilled_path = TempPath("spilled.opimss");
-  RRCollection resident = MixedCollection(3 * 4096 + 50, /*seed=*/29, false);
-  RRCollection spilled = MixedCollection(3 * 4096 + 50, /*seed=*/29, false);
-  ASSERT_TRUE(spilled.EnableSpill({.dir = ::testing::TempDir()}).ok());
-  auto evicted = spilled.SpillColdChunks(/*target_resident_bytes=*/0);
-  ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
-  ASSERT_GT(evicted.ValueOrDie(), 0u);
-
-  const SnapshotRunState run = TestRunState();
-  ASSERT_TRUE(SaveSnapshot(run, resident, resident, resident_path).ok());
-  ASSERT_TRUE(SaveSnapshot(run, spilled, spilled, spilled_path).ok());
-  EXPECT_EQ(ReadAll(resident_path), ReadAll(spilled_path));
-}
-
 // ---------------------------------------------------------------------
 // Corruption taxonomy: each defect class fails with its distinct
 // message, and none of them crash.

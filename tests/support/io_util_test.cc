@@ -70,30 +70,6 @@ TEST(IoUtilTest, ReadPastEofIsIOError) {
   EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
 
-TEST(IoUtilTest, PositionalVariantsLeaveTheOffsetAlone) {
-  TempFd f("io_positional");
-  const std::vector<uint8_t> a = Pattern(4096, 1);
-  const std::vector<uint8_t> b = Pattern(4096, 2);
-  ASSERT_TRUE(io::PWriteFull(f.fd(), a.data(), a.size(), 0).ok());
-  ASSERT_TRUE(io::PWriteFull(f.fd(), b.data(), b.size(),
-                             static_cast<off_t>(a.size())).ok());
-  // pwrite must not have moved the descriptor offset.
-  EXPECT_EQ(::lseek(f.fd(), 0, SEEK_CUR), 0);
-
-  std::vector<uint8_t> back(4096);
-  ASSERT_TRUE(io::PReadFull(f.fd(), back.data(), back.size(),
-                            static_cast<off_t>(a.size())).ok());
-  EXPECT_EQ(b, back);
-  ASSERT_TRUE(io::PReadFull(f.fd(), back.data(), back.size(), 0).ok());
-  EXPECT_EQ(a, back);
-
-  const Status st =
-      io::PReadFull(f.fd(), back.data(), back.size(),
-                    static_cast<off_t>(a.size() + b.size()) - 10);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-}
-
 TEST(IoUtilTest, PipeTransferSurvivesShortWrites) {
   // A pipe's 64 KiB buffer forces short writes on a 1 MiB payload;
   // WriteFull must keep feeding while a reader drains.

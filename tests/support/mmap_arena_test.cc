@@ -79,8 +79,8 @@ TEST(MmapArenaTest, EmptyFileMapsToZeroLengthArena) {
 }
 
 TEST(MmapArenaTest, MappingOutlivesTheFile) {
-  // The unlink-while-mapped idiom the spill tier relies on: pages stay
-  // valid until the last arena reference drops.
+  // Unlink-while-mapped: pages stay valid until the last arena
+  // reference drops.
   const std::string path = TempPath("opim_arena_unlinked.bin");
   {
     std::ofstream f(path, std::ios::binary);

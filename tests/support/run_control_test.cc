@@ -123,14 +123,6 @@ TEST(StopReasonTest, NamesAreStable) {
   EXPECT_STREQ(StopReasonName(StopReason::kMemoryBudget), "memory_budget");
   EXPECT_STREQ(StopReasonName(StopReason::kCancelled), "cancelled");
   EXPECT_STREQ(StopReasonName(StopReason::kWorkerFailure), "worker_failure");
-  EXPECT_STREQ(StopReasonName(StopReason::kSpillFailure), "spill_failure");
-}
-
-TEST(StopReasonTest, TripSpillFailureReportsTheDistinctReason) {
-  RunControl c;
-  c.TripSpillFailure();
-  EXPECT_TRUE(c.Stopped());
-  EXPECT_EQ(c.reason(), StopReason::kSpillFailure);
 }
 
 TEST(StopReasonTest, ExitCodesMatchTheDocumentedTaxonomy) {
@@ -139,7 +131,6 @@ TEST(StopReasonTest, ExitCodesMatchTheDocumentedTaxonomy) {
   EXPECT_EQ(ExitCodeForStopReason(StopReason::kMemoryBudget), 4);
   EXPECT_EQ(ExitCodeForStopReason(StopReason::kCancelled), 5);
   EXPECT_EQ(ExitCodeForStopReason(StopReason::kWorkerFailure), 6);
-  EXPECT_EQ(ExitCodeForStopReason(StopReason::kSpillFailure), 7);
 }
 
 }  // namespace

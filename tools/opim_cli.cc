@@ -29,11 +29,6 @@
 //   --deadline-ms=<ms>   wall-clock budget; the run degrades gracefully at
 //                        the next safe point and still reports (seeds, α)
 //   --max-rr-mb=<mb>     RR-pool memory budget in MiB (fractional ok)
-//   --spill-dir=<dir>    (run with opim-c*) out-of-core RR tier: once the
-//                        pools cross half the --max-rr-mb budget, cold
-//                        compressed chunks spill to an unlinked file in
-//                        <dir> and the run continues; seeds and α are
-//                        byte-identical to the fully-resident run
 //   --checkpoint-dir=<d> (run with opim-c*) crash-safe checkpointing:
 //                        atomically rewrite <d>/opimc.opimss at the top of
 //                        each doubling iteration (write-to-temp + fsync +
@@ -64,8 +59,8 @@
 //                        set); second signal = immediate _exit(128 + sig)
 //
 // Exit codes: 0 converged, 1 error, 2 usage, and for guardrail stops
-// 3 deadline, 4 memory_budget, 5 cancelled, 6 worker_failure,
-// 7 spill_failure. A guardrail exit still prints seeds/alpha and writes
+// 3 deadline, 4 memory_budget, 5 cancelled, 6 worker_failure (7 is
+// retired). A guardrail exit still prints seeds/alpha and writes
 // the full --metrics-json report (stop_reason, deadline_slack_ms,
 // peak_rr_bytes, rr_budget_bytes, cancel_latency_ms). A second
 // SIGINT/SIGTERM skips all of that and exits 130/143 immediately.
@@ -243,8 +238,8 @@ Status WriteReportOutputs(RunReport* report, const std::string& json_path,
                           const std::string& csv_path) {
   // Process-level resource accounting rides along in every report: peak
   // resident set plus the page-fault split that distinguishes disk-backed
-  // faults (major: cold mmap loads, spill fault-ins) from lazy
-  // first-touch mapping faults (minor).
+  // faults (major: cold mmap loads) from lazy first-touch mapping
+  // faults (minor).
   const ResourceUsage ru = ReadResourceUsage();
   report->AddResult("peak_rss_bytes", static_cast<double>(ru.peak_rss_bytes));
   report->AddResult("major_page_faults",
@@ -473,7 +468,6 @@ int CmdRun(const Flags& flags) {
               : algo == "opim-c'" ? BoundKind::kLeskovec
                                   : BoundKind::kImproved;
     o.control = &control;
-    o.spill_dir = flags.GetString("spill-dir", "");
     o.checkpoint_dir = flags.GetString("checkpoint-dir", "");
     o.checkpoint_every_iters =
         static_cast<uint32_t>(flags.GetUint("checkpoint-every", 1));
@@ -514,14 +508,6 @@ int CmdRun(const Flags& flags) {
                          ? static_cast<double>(r.rr_raw_member_bytes) /
                                static_cast<double>(r.rr_compressed_bytes)
                          : 0.0);
-    if (!o.spill_dir.empty()) {
-      report.AddResult("spill_chunks_spilled",
-                       static_cast<double>(r.spill_chunks_spilled));
-      report.AddResult("spill_chunks_faulted",
-                       static_cast<double>(r.spill_chunks_faulted));
-      report.AddResult("spilled_bytes",
-                       static_cast<double>(r.spilled_bytes));
-    }
     if (!o.checkpoint_dir.empty()) {
       report.AddResult("checkpoints_written",
                        static_cast<double>(r.checkpoints_written));
